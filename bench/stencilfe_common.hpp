@@ -42,8 +42,7 @@ inline StencilFeRun run_stencilfe(const stencilfe::TransitionFn& fn, int nx,
   sim.sim_threads = threads;
   // Pin the backend and disable the watchdog: these benches compare
   // reference and turbo side by side, so ambient WSS_SIM_BACKEND /
-  // WSS_WATCHDOG_CYCLES must not silently re-route (a nonzero watchdog
-  // is a turbo demotion trigger).
+  // WSS_WATCHDOG_CYCLES must not change what is timed.
   sim.backend = backend;
   stencilfe::StencilExecutor ex(fn, nx, ny, arch, sim);
   ex.fabric().set_watchdog(0);

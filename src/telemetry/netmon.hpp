@@ -9,9 +9,9 @@
 // phase only, and every counter cell is owned by the *source* tile of the
 // link it describes — exactly the ownership the banded determinism
 // contract already guarantees for router out-queues — so streams are
-// bit-identical at any WSS_SIM_THREADS on both backends (attachment
-// demotes turbo to the reference phases, like every other observer; what
-// the monitor records is therefore reference behaviour by construction).
+// bit-identical at any WSS_SIM_THREADS on both backends. The fast loop
+// visits only occupied links; the per-link audit records nothing for an
+// empty one, so its counters equal a scan over every link.
 //
 // Three things are counted per outgoing link (tile, mesh dir):
 //   words        — flits that actually traversed the link (the same event

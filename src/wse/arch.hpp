@@ -50,18 +50,17 @@ struct CS1Params {
 };
 
 /// Host-side execution backend for the fabric simulator (docs/BACKENDS.md).
-/// A backend is an execution strategy, never a semantics change: every
-/// backend is bit-identical to the reference interpreter — results, cycle
-/// counts, heatmaps, counters — enforced by
-/// tests/wse/backend_conformance_test.cpp.
+/// Both backends run the same phase code (src/wse/fabric.cpp), so a
+/// backend is an execution strategy, never a semantics change: results,
+/// cycle counts, heatmaps, counters and observer outputs are bit-identical,
+/// enforced by tests/wse/backend_conformance_test.cpp.
 ///   Auto      — consult the WSS_SIM_BACKEND environment variable
-///               ("reference" or "turbo"; default reference),
-///   Reference — the straightforward per-tile object-graph interpreter,
-///   Turbo     — occupancy-indexed SoA fast path: router phases visit only
-///               queues that hold flits and provably-idle cores are parked,
-///               demoting to reference stepping whenever observers (tracer,
-///               profiler, flight recorder, sampler, watchdog) or a fault
-///               plan are attached.
+///               ("reference" or "turbo"; default turbo),
+///   Reference — the scan-all oracle: every tile, every color, every core
+///               stepped in full each cycle,
+///   Turbo     — the occupancy-indexed loop: router phases visit only
+///               queues that hold flits and provably idle cores are parked,
+///               with observers and fault plans attached or not.
 enum class Backend : std::uint8_t { Auto = 0, Reference, Turbo };
 
 /// Simulator microarchitecture knobs (queue depths etc.) — not performance
@@ -85,7 +84,7 @@ struct SimParams {
   /// simulated behaviour, just when run() gives up on a stalled fabric.
   std::uint64_t watchdog_cycles = 0;
   /// Host-side execution backend (NOT a property of the modeled machine):
-  /// Auto = consult WSS_SIM_BACKEND (default reference). Any backend
+  /// Auto = consult WSS_SIM_BACKEND (default turbo). Any backend
   /// yields bit-identical results — see docs/BACKENDS.md.
   Backend backend = Backend::Auto;
 };

@@ -44,10 +44,10 @@ struct RouterState {
   /// in_occ[d] (out_occ[d]) is set iff in_queues[d][c] (out_queues[d][c])
   /// holds at least one flit. Maintained unconditionally by every queue
   /// mutation site — a couple of ALU ops per flit, nothing per empty
-  /// queue — so the masks are exact whichever backend is stepping and the
-  /// turbo backend (docs/BACKENDS.md) can promote without a queue scan.
-  /// Placed first so the turbo phases' per-tile skip test touches the
-  /// leading cache lines of the tile only.
+  /// queue — so the masks are exact whichever backend is stepping, and the
+  /// occupancy-indexed phases (docs/BACKENDS.md) iterate their set bits.
+  /// Placed first so the per-tile skip test touches the leading cache
+  /// lines of the tile only.
   std::array<std::uint32_t, 4> in_occ = {0, 0, 0, 0};
   std::array<std::uint32_t, 4> out_occ = {0, 0, 0, 0};
 
@@ -189,12 +189,13 @@ public:
   [[nodiscard]] bool quiescent() const;
 
   /// The parked equivalent of one step() on a quiescent core, for the
-  /// turbo backend (docs/BACKENDS.md). A quiescent core can never wake
-  /// itself: the scheduler finds no ready task (deliveries only fill ramp
-  /// queues, they never activate tasks) and no slot is occupied, so a full
-  /// step() would be exactly `++idle_cycles`. This method IS that step —
-  /// it must stay in lockstep with the Idle arm of step(), which the
-  /// backend conformance suite enforces bit for bit.
+  /// occupancy-indexed loop (docs/BACKENDS.md). A quiescent core can never
+  /// wake itself: the scheduler finds no ready task (deliveries only fill
+  /// ramp queues, they never activate tasks) and no slot is occupied, so a
+  /// full step() would be exactly `++idle_cycles`, with no tracer or
+  /// flight-recorder event. This method IS that step — it must stay in
+  /// lockstep with the Idle arm of step(), which the backend conformance
+  /// suite enforces bit for bit.
   void step_parked() { ++stats_.idle_cycles; }
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   [[nodiscard]] const TileProgram& program() const { return prog_; }

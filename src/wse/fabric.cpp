@@ -1,6 +1,7 @@
 #include "wse/fabric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,9 @@
 namespace wss::wse {
 
 namespace {
+
+/// Every color of one direction: the scan-all oracle's "occupancy" mask.
+constexpr std::uint32_t kAllColors = (1u << kNumColors) - 1;
 
 /// Map a core step outcome (plus fault context) to a profiler category.
 telemetry::CycleCat categorize(StepOutcome outcome, bool router_faulted) {
@@ -49,13 +53,14 @@ std::uint64_t resolve_watchdog_cycles(std::uint64_t requested) {
 }
 
 /// SimParams::backend, with Auto resolved against WSS_SIM_BACKEND —
-/// mirroring resolve_sim_threads / resolve_watchdog_cycles. Strict: an
-/// unknown value is a configuration error, not a silent reference run.
+/// mirroring resolve_sim_threads / resolve_watchdog_cycles. Unset means
+/// the fast loop. Strict: an unknown value is a configuration error, not a
+/// silent fallback.
 Backend resolve_backend(Backend requested) {
   if (requested != Backend::Auto) return requested;
   const std::string v = env::parse_string("WSS_SIM_BACKEND");
-  if (v.empty() || v == "reference") return Backend::Reference;
-  if (v == "turbo") return Backend::Turbo;
+  if (v.empty() || v == "turbo") return Backend::Turbo;
+  if (v == "reference") return Backend::Reference;
   throw std::invalid_argument(
       "WSS_SIM_BACKEND must be 'reference' or 'turbo', got '" + v + "'");
 }
@@ -67,6 +72,8 @@ Fabric::Fabric(int width, int height, const CS1Params& arch,
     : width_(width), height_(height), arch_(&arch), sim_(sim),
       threads_(resolve_sim_threads(sim.sim_threads)),
       watchdog_cycles_(resolve_watchdog_cycles(sim.watchdog_cycles)),
+      flags_(static_cast<std::size_t>(width) *
+             static_cast<std::size_t>(height)),
       backend_(resolve_backend(sim.backend)) {
   tiles_.resize(static_cast<std::size_t>(width) *
                 static_cast<std::size_t>(height));
@@ -86,14 +93,23 @@ void Fabric::configure_tile(int x, int y, TileProgram program,
     t.core->set_flight_recorder(flightrec_);
     flightrec_->mark_configured(x, y);
   }
-  turbo_invalidate();
+  refresh_flags(tile_index(x, y));
+}
+
+void Fabric::refresh_flags(std::size_t i) {
+  const Tile& t = tiles_[i];
+  flags_.configured[i] = t.core != nullptr ? 1 : 0;
+  // TileCore::quiescent() is exactly the absorbing parked predicate: no
+  // occupied slot, no runnable task, empty ramp queues.
+  flags_.parked[i] = t.core != nullptr && t.core->quiescent() ? 1 : 0;
+  flags_.done[i] = t.core != nullptr && t.core->done() ? 1 : 0;
+  flags_.route_pending[i].store(t.router.in_any() ? 1 : 0,
+                                std::memory_order_relaxed);
+  flags_.link_pending[i] = t.router.out_any() ? 1 : 0;
 }
 
 void Fabric::set_backend(Backend backend) {
   backend_ = resolve_backend(backend);
-  // An explicit switch resyncs silently on the next turbo step; only
-  // observer-forced fallbacks count as demotions in TurboStats.
-  turbo_invalidate();
 }
 
 void Fabric::set_flight_recorder(telemetry::FlightRecorder* rec) {
@@ -336,13 +352,18 @@ void Fabric::merge_fault_bands(int bands) {
 
 // ------------------------------------------------------------------------
 
+template <bool kScanAll>
 void Fabric::route_phase(int y0, int y1, int band) {
+  BandCounters& bc = band_counters_[static_cast<std::size_t>(band)];
   for (int y = y0; y < y1; ++y) {
     for (int x = 0; x < width_; ++x) {
-      Tile& t = tiles_[tile_index(x, y)];
-      if (t.core == nullptr) continue;
+      const std::size_t i = tile_index(x, y);
+      Tile& t = tiles_[i];
+      if (kScanAll ? t.core == nullptr : flags_.configured[i] == 0) continue;
       if (faults_ != nullptr) {
-        const TileFaults& tf = faults_->tiles[tile_index(x, y)];
+        // Before the pending test: a stall window counts every cycle of a
+        // configured tile, whether or not flits are queued.
+        const TileFaults& tf = faults_->tiles[i];
         if (!tf.stall_windows.empty() &&
             router_stalled(tf, stats_.cycles)) {
           // Forward nothing this cycle; arriving wavelets stay queued
@@ -360,8 +381,20 @@ void Fabric::route_phase(int y0, int y1, int band) {
           continue;
         }
       }
+      if (!kScanAll &&
+          flags_.route_pending[i].load(std::memory_order_relaxed) == 0) {
+        continue;
+      }
+      bool delivered = false;
       for (int d = 0; d < 4; ++d) {
-        for (int c = 0; c < kNumColors; ++c) {
+        // Set bits in ascending order: the oracle's c = 0..23 scan with
+        // the empty colors left out.
+        std::uint32_t colors =
+            kScanAll ? kAllColors
+                     : t.router.in_occ[static_cast<std::size_t>(d)];
+        while (colors != 0) {
+          const int c = std::countr_zero(colors);
+          colors &= colors - 1;
           auto& q = t.router.in_queues[static_cast<std::size_t>(d)]
                                       [static_cast<std::size_t>(c)];
           while (!q.empty()) {
@@ -388,18 +421,24 @@ void Fabric::route_phase(int y0, int y1, int band) {
                 space = false;
               }
             }
-            if (!space) break;
-
-            if (profiler_ != nullptr && !rule.deliver_channels.empty()) {
-              // Wavelet dependency edge for the critical-path analyzer:
-              // one edge per delivered flit (multicast to several local
-              // channels is still one arrival).
-              profiler_->record_recv(x, y, stats_.cycles, flit);
+            if (!space) {
+              ++bc.contended;
+              break;
             }
-            if (flightrec_ != nullptr && !rule.deliver_channels.empty()) {
-              // Flight-recorder tap: the same band owns the tile, so the
-              // ring is bit-identical at any thread count.
-              flightrec_->record_wavelet(x, y, stats_.cycles, flit);
+
+            if (!rule.deliver_channels.empty()) {
+              delivered = true;
+              if (profiler_ != nullptr) {
+                // Wavelet dependency edge for the critical-path analyzer:
+                // one edge per delivered flit (multicast to several local
+                // channels is still one arrival).
+                profiler_->record_recv(x, y, stats_.cycles, flit);
+              }
+              if (flightrec_ != nullptr) {
+                // Flight-recorder tap: the same band owns the tile, so the
+                // ring is bit-identical at any thread count.
+                flightrec_->record_wavelet(x, y, stats_.cycles, flit);
+              }
             }
             for (int ch : rule.deliver_channels) {
               t.core->try_deliver(ch, flit.payload);
@@ -412,6 +451,7 @@ void Fabric::route_phase(int y0, int y1, int band) {
                 oq.push_back(flit);
                 occ_set(t.router.out_occ[static_cast<std::size_t>(od)],
                         flit.color);
+                flags_.link_pending[i] = 1;
                 ++t.router.stats.flits_forwarded;
                 t.router.stats.queue_highwater =
                     std::max(t.router.stats.queue_highwater,
@@ -425,19 +465,37 @@ void Fabric::route_phase(int y0, int y1, int band) {
           }
         }
       }
+      // A delivery fills a ramp queue, so the core leaves the absorbing
+      // idle state: it must really step this very cycle.
+      if (delivered) flags_.parked[i] = 0;
+      flags_.route_pending[i].store(t.router.in_any() ? 1 : 0,
+                                    std::memory_order_relaxed);
     }
   }
 }
 
+template <bool kScanAll>
 void Fabric::core_phase(int y0, int y1, Tracer* tracer, int band) {
+  BandCounters& bc = band_counters_[static_cast<std::size_t>(band)];
+  const std::size_t end = tile_index(0, y1);
   for (int y = y0; y < y1; ++y) {
     for (int x = 0; x < width_; ++x) {
-      Tile& t = tiles_[tile_index(x, y)];
-      if (t.core == nullptr) continue;
+      const std::size_t i = tile_index(x, y);
+      Tile& t = tiles_[i];
+      if (kScanAll ? t.core == nullptr : flags_.configured[i] == 0) continue;
+      if constexpr (!kScanAll) {
+        // The Tile array stride is multiple KB and each core is its own
+        // heap allocation, so a parked ocean pays ~2 cache misses per tile
+        // here (the phase's dominant cost). Overlap them a few tiles ahead.
+        if (i + 4 < end) __builtin_prefetch(&tiles_[i + 4]);
+        if (i + 1 < end && flags_.configured[i + 1] != 0) {
+          __builtin_prefetch(tiles_[i + 1].core.get());
+        }
+      }
       if (user_tracer_ != nullptr) t.core->set_tracer(tracer, x, y);
       bool router_faulted = false;
       if (faults_ != nullptr) {
-        const TileFaults& tf = faults_->tiles[tile_index(x, y)];
+        const TileFaults& tf = faults_->tiles[i];
         if (stats_.cycles >= tf.dead_from) {
           // Datapath death: the core stops executing but its router keeps
           // forwarding (handled by route/link phases as usual).
@@ -460,7 +518,24 @@ void Fabric::core_phase(int y0, int y1, Tracer* tracer, int band) {
         router_faulted =
             !tf.stall_windows.empty() && router_stalled(tf, stats_.cycles);
       }
-      const StepOutcome outcome = t.core->step(t.router, stats_.cycles);
+      StepOutcome outcome = StepOutcome::Idle;
+      if (!kScanAll && flags_.parked[i] != 0) {
+        // The whole effect of step() on a parked core: one idle cycle. It
+        // records no tracer or flight-recorder event, and its phase and
+        // iteration cannot change, so the profiler below sees the same
+        // Idle cycle step() would have produced.
+        t.core->step_parked();
+        ++bc.parked;
+      } else {
+        outcome = t.core->step(t.router, stats_.cycles);
+        if (t.router.out_any()) flags_.link_pending[i] = 1;
+        flags_.done[i] = t.core->done() ? 1 : 0;
+        // Park on the cheap signal (an Idle outcome), confirmed by the
+        // full predicate. Deliveries never activate tasks, so a parked
+        // core stays parked until a delivery or reset_control.
+        flags_.parked[i] =
+            outcome == StepOutcome::Idle && t.core->quiescent() ? 1 : 0;
+      }
       if (profiler_ != nullptr) {
         profiler_->record_cycle(x, y, t.core->phase(),
                                 categorize(outcome, router_faulted),
@@ -472,6 +547,7 @@ void Fabric::core_phase(int y0, int y1, Tracer* tracer, int band) {
   }
 }
 
+template <bool kScanAll>
 std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
   // Cross-tile mutation lives here and only here: tile (x, y) moves flits
   // from its own out_queues[d] into neighbor (x+dx, y+dy)'s
@@ -481,14 +557,21 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
   std::uint64_t transfers = 0;
   for (int y = y0; y < y1; ++y) {
     for (int x = 0; x < width_; ++x) {
-      Tile& t = tiles_[tile_index(x, y)];
+      const std::size_t i = tile_index(x, y);
+      if (!kScanAll && flags_.link_pending[i] == 0) continue;
+      Tile& t = tiles_[i];
       for (int d = 0; d < 4; ++d) {
+        std::uint32_t& out_occ = t.router.out_occ[static_cast<std::size_t>(d)];
+        // An empty link moves nothing, and its net-monitor audit below
+        // records nothing either.
+        if (!kScanAll && out_occ == 0) continue;
         const Dir dir = static_cast<Dir>(d);
         const auto [dx, dy] = wse::step(dir);
         const int nx = x + dx;
         const int ny = y + dy;
         if (!in_bounds(nx, ny)) continue;
-        Tile& nb = tiles_[tile_index(nx, ny)];
+        const std::size_t ni = tile_index(nx, ny);
+        Tile& nb = tiles_[ni];
         auto& in_queues =
             nb.router.in_queues[static_cast<std::size_t>(opposite(dir))];
         // 32-bit link: move up to one link-cycle of halfwords, choosing
@@ -497,12 +580,16 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
         int budget = sim_.link_halfwords_per_cycle;
         auto& queues = t.router.out_queues[static_cast<std::size_t>(d)];
         int& rr = t.router.rr[static_cast<std::size_t>(d)];
+        bool pushed = false;
         while (budget > 0) {
           bool moved = false;
           for (int k = 0; k < kNumColors; ++k) {
             const int c = (rr + k) % kNumColors;
             auto& q = queues[static_cast<std::size_t>(c)];
-            if (q.empty()) continue;
+            if (kScanAll ? q.empty()
+                         : (out_occ >> static_cast<unsigned>(c) & 1u) == 0) {
+              continue;
+            }
             const int cost = q.front().wide ? 2 : 1;
             if (cost > budget) continue;
             auto& inq = in_queues[static_cast<std::size_t>(c)];
@@ -511,9 +598,7 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
             }
             Flit flit = q.front();
             q.pop_front();
-            if (q.empty()) {
-              occ_clear(t.router.out_occ[static_cast<std::size_t>(d)], c);
-            }
+            if (q.empty()) occ_clear(out_occ, c);
             budget -= cost;
             rr = (c + 1) % kNumColors;
             moved = true;
@@ -526,7 +611,7 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
             // payload in flight and delivers it.
             bool dropped = false;
             if (faults_ != nullptr) {
-              TileFaults& tf = faults_->tiles[tile_index(x, y)];
+              TileFaults& tf = faults_->tiles[i];
               auto& lf = tf.links[static_cast<std::size_t>(d)];
               if (!lf.empty()) {
                 const std::uint64_t ordinal =
@@ -568,15 +653,19 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
               inq.push_back(flit);
               occ_set(nb.router.in_occ[static_cast<std::size_t>(opposite(dir))],
                       c);
+              pushed = true;
               ++t.router.stats.link_words[static_cast<std::size_t>(d)];
               ++transfers;
-              if (netmon_ != nullptr) {
-                netmon_->record_move(tile_index(x, y), d, c);
-              }
+              if (netmon_ != nullptr) netmon_->record_move(i, d, c);
             }
             break;
           }
           if (!moved) break;
+        }
+        if (pushed) {
+          // Cross-band marking: the destination tile may belong to another
+          // band, hence the relaxed atomic (every writer stores 1).
+          flags_.route_pending[ni].store(1, std::memory_order_relaxed);
         }
         if (netmon_ != nullptr) {
           // End-of-phase audit of this link: a color still holding flits
@@ -584,27 +673,25 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
           // multiplexing) or sits blocked behind a full destination
           // virtual-channel queue — only the latter is congestion. All
           // counters are owned by the source tile's band.
-          const std::size_t tile = tile_index(x, y);
-          const std::uint32_t occ =
-              t.router.out_occ[static_cast<std::size_t>(d)];
           std::uint64_t backlog = 0;
           bool any_blocked = false;
-          for (int c = 0; occ != 0 && c < kNumColors; ++c) {
-            if ((occ & (1u << static_cast<unsigned>(c))) == 0) continue;
+          for (int c = 0; out_occ != 0 && c < kNumColors; ++c) {
+            if ((out_occ & (1u << static_cast<unsigned>(c))) == 0) continue;
             auto& q = queues[static_cast<std::size_t>(c)];
             const auto hw = static_cast<std::uint64_t>(flit_halfwords(q));
             backlog += hw;
-            netmon_->record_backlog(tile, d, c, hw);
+            netmon_->record_backlog(i, d, c, hw);
             const int cost = q.front().wide ? 2 : 1;
             if (flit_halfwords(in_queues[static_cast<std::size_t>(c)]) + cost >
                 2 * sim_.link_halfwords_per_cycle) {
-              netmon_->record_blocked(tile, d, c);
+              netmon_->record_blocked(i, d, c);
               any_blocked = true;
             }
           }
-          netmon_->record_link_cycle(tile, d, backlog, any_blocked);
+          netmon_->record_link_cycle(i, d, backlog, any_blocked);
         }
       }
+      flags_.link_pending[i] = t.router.out_any() ? 1 : 0;
     }
   }
   return transfers;
@@ -629,20 +716,28 @@ void Fabric::merge_staged_trace_events() {
 
 void Fabric::step() {
   if (backend_ == Backend::Turbo) {
-    if (!turbo_demoted()) {
-      if (turbo_ == nullptr || !turbo_->live) turbo_promote();
-      turbo_step();
-      return;
-    }
-    if (turbo_ != nullptr && turbo_->live) {
-      // A demotion trigger appeared mid-run: fall back to the reference
-      // phases until it detaches (turbo_active() re-promotes then). The
-      // mirror is stale from here on, so it is dropped, not paused.
-      turbo_->live = false;
-      ++turbo_->stats.demotions;
+    step_phases<false>();
+  } else {
+    step_phases<true>();
+  }
+}
+
+template <bool kScanAll>
+void Fabric::step_phases() {
+  const int bands = band_count();
+  const bool staged_trace = bands > 1 && user_tracer_ != nullptr;
+  if (bands > 1) {
+    ensure_pool(bands);
+    if (staged_trace) {
+      trace_staging_.resize(static_cast<std::size_t>(bands));
+      for (auto& staged : trace_staging_) {
+        if (!staged) {
+          staged = std::make_unique<Tracer>(
+              std::numeric_limits<std::size_t>::max());
+        }
+      }
     }
   }
-  const int bands = band_count();
   if (faults_ != nullptr) {
     // (Re)size the per-band fault staging. Merging happens after *each*
     // phase so the global event order is phase-major then row-major —
@@ -651,67 +746,59 @@ void Fabric::step() {
                                FaultStats{});
     faults_->band_events.resize(static_cast<std::size_t>(bands));
   }
-  if (bands <= 1) {
-    route_phase(0, height_, 0);
-    if (faults_ != nullptr) merge_fault_bands(1);
-    // core_phase rebinds tracers to `user_tracer_` so a serial step after
-    // a parallel one (set_threads) never leaves cores pointing at stale
-    // per-band staging buffers.
-    core_phase(0, height_, user_tracer_, 0);
-    if (faults_ != nullptr) merge_fault_bands(1);
-    stats_.link_transfers += link_phase(0, height_, 0);
-    if (faults_ != nullptr) merge_fault_bands(1);
-    if (profiler_ != nullptr) profiler_->add_observed_cycle();
-    ++stats_.cycles;
-    // Sampling happens in this serial tail on both stepping paths: every
-    // band has merged, the fabric is quiescent, so a frame reads the same
-    // state a serial run would see — bit-identical at any thread count.
-    if (sampler_ != nullptr && sampler_->due(stats_.cycles)) {
-      telemetry::TimeSeriesSample s;
-      collect_sample(&s);
-      sampler_->record(s);
-    }
-    return;
-  }
-
-  ensure_pool(bands);
-  if (user_tracer_ != nullptr) {
-    trace_staging_.resize(static_cast<std::size_t>(bands));
-    for (auto& staged : trace_staging_) {
-      if (!staged) {
-        staged = std::make_unique<Tracer>(
-            std::numeric_limits<std::size_t>::max());
-      }
-    }
-  }
-
-  pool_->run([&](int band) {
-    const auto [y0, y1] = band_rows(band, bands);
-    route_phase(y0, y1, band);
-  });
-  if (faults_ != nullptr) merge_fault_bands(bands);
-  pool_->run([&](int band) {
-    const auto [y0, y1] = band_rows(band, bands);
-    Tracer* staged = user_tracer_ != nullptr
-                         ? trace_staging_[static_cast<std::size_t>(band)].get()
-                         : nullptr;
-    core_phase(y0, y1, staged, band);
-  });
-  if (user_tracer_ != nullptr) merge_staged_trace_events();
-  if (faults_ != nullptr) merge_fault_bands(bands);
+  band_counters_.assign(static_cast<std::size_t>(bands), BandCounters{});
   band_link_transfers_.assign(static_cast<std::size_t>(bands), 0);
-  pool_->run([&](int band) {
-    const auto [y0, y1] = band_rows(band, bands);
+  // Run one phase over every row band: inline when serial, on the pool
+  // (with a barrier at the end) otherwise.
+  const auto each_band = [&](auto&& phase) {
+    if (bands <= 1) {
+      phase(0, 0, height_);
+      return;
+    }
+    pool_->run([&](int band) {
+      const auto [y0, y1] = band_rows(band, bands);
+      phase(band, y0, y1);
+    });
+  };
+
+  each_band([&](int band, int y0, int y1) {
+    route_phase<kScanAll>(y0, y1, band);
+  });
+  if (faults_ != nullptr) merge_fault_bands(bands);
+  each_band([&](int band, int y0, int y1) {
+    // A serial step hands every core `user_tracer_` itself, so a serial
+    // step after a parallel one (set_threads) never leaves cores pointing
+    // at stale per-band staging buffers.
+    Tracer* tracer =
+        staged_trace ? trace_staging_[static_cast<std::size_t>(band)].get()
+                     : user_tracer_;
+    core_phase<kScanAll>(y0, y1, tracer, band);
+  });
+  if (staged_trace) merge_staged_trace_events();
+  if (faults_ != nullptr) merge_fault_bands(bands);
+  each_band([&](int band, int y0, int y1) {
     band_link_transfers_[static_cast<std::size_t>(band)] =
-        link_phase(y0, y1, band);
+        link_phase<kScanAll>(y0, y1, band);
   });
   for (const std::uint64_t n : band_link_transfers_) {
     stats_.link_transfers += n;
   }
   if (faults_ != nullptr) merge_fault_bands(bands);
+
+  if constexpr (!kScanAll) {
+    if (!last_step_turbo_) ++turbo_stats_.promotions;
+    for (const BandCounters& bc : band_counters_) {
+      turbo_stats_.parked_tile_cycles += bc.parked;
+      turbo_stats_.contended_tile_cycles += bc.contended;
+    }
+    ++turbo_stats_.turbo_cycles;
+  }
+  last_step_turbo_ = !kScanAll;
   if (profiler_ != nullptr) profiler_->add_observed_cycle();
   ++stats_.cycles;
-  // Same serial-tail sampling as the bands<=1 path (see comment there).
+  // Sampling happens in this serial tail: every band has merged, the
+  // fabric is quiescent, so a frame reads the same state a serial run
+  // would see — bit-identical at any thread count.
   if (sampler_ != nullptr && sampler_->due(stats_.cycles)) {
     telemetry::TimeSeriesSample s;
     collect_sample(&s);
@@ -847,10 +934,17 @@ StopInfo Fabric::run(std::uint64_t max_cycles) {
 }
 
 bool Fabric::all_done() const {
-  // Both predicates run once per cycle inside run(); while the turbo
-  // mirror is live they read its dense byte arrays instead of striding
-  // through every multi-KB Tile — same answers, none of the cache misses.
-  if (turbo_ != nullptr && turbo_->live) return turbo_all_done();
+  // Both predicates run once per cycle inside run(). The fast loop reads
+  // the dense flags instead of striding through every multi-KB Tile; the
+  // reference oracle keeps its full scan, so a stale flag shows up as a
+  // conformance diff.
+  if (backend_ == Backend::Turbo) {
+    for (std::size_t i = 0; i < tiles_.size(); ++i) {
+      // An unconfigured tile never raises done.
+      if (flags_.configured[i] == 0 || flags_.done[i] == 0) return false;
+    }
+    return true;
+  }
   for (const auto& t : tiles_) {
     if (!t.core || !t.core->done()) return false;
   }
@@ -858,7 +952,19 @@ bool Fabric::all_done() const {
 }
 
 bool Fabric::quiescent() const {
-  if (turbo_ != nullptr && turbo_->live) return turbo_quiescent();
+  if (backend_ == Backend::Turbo) {
+    // Unconfigured tiles are skipped, queues and all, exactly as in the
+    // scan below; parked implies core quiescence by construction.
+    for (std::size_t i = 0; i < tiles_.size(); ++i) {
+      if (flags_.configured[i] == 0) continue;
+      if (flags_.route_pending[i].load(std::memory_order_relaxed) != 0 ||
+          flags_.link_pending[i] != 0) {
+        return false;
+      }
+      if (flags_.parked[i] == 0 && !tiles_[i].core->quiescent()) return false;
+    }
+    return true;
+  }
   for (const auto& t : tiles_) {
     if (!t.core) continue;
     if (!t.core->quiescent()) return false;
@@ -876,7 +982,8 @@ bool Fabric::quiescent() const {
 }
 
 void Fabric::reset_control() {
-  for (auto& t : tiles_) {
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    Tile& t = tiles_[i];
     if (t.core) t.core->reset_control();
     for (int d = 0; d < 4; ++d) {
       for (auto& q : t.router.in_queues[static_cast<std::size_t>(d)]) {
@@ -888,8 +995,8 @@ void Fabric::reset_control() {
     }
     t.router.in_occ = {0, 0, 0, 0};
     t.router.out_occ = {0, 0, 0, 0};
+    refresh_flags(i);
   }
-  turbo_invalidate();
 }
 
 } // namespace wss::wse

@@ -9,6 +9,13 @@
 // This yields one-word-per-link-per-cycle bandwidth and ~1 cycle/hop
 // latency, the paper's stated fabric characteristics.
 //
+// The fabric is dataflow-driven, so each phase is written once as an
+// occupancy-indexed loop (docs/BACKENDS.md): the route and link phases
+// visit only virtual channels that hold flits, and cores in the absorbing
+// idle state are parked. The reference backend is the same code
+// instantiated to scan every tile, every color and every core — the
+// conformance oracle for the fast instantiation.
+//
 // Host-side parallelism: within each phase, every tile reads only its own
 // state plus queues it uniquely owns (the link phase writes a neighbor's
 // per-direction input queue, which no other tile — including the neighbor
@@ -21,6 +28,7 @@
 // contract in docs/SIMULATOR.md, enforced by
 // tests/wse/parallel_conformance_test.cpp).
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -31,7 +39,6 @@
 #include "wse/core.hpp"
 #include "wse/fault.hpp"
 #include "wse/sim_pool.hpp"
-#include "wse/turbo_backend.hpp"
 
 namespace wss::telemetry {
 class Profiler;          // telemetry/profiler.hpp (header-only surface)
@@ -50,6 +57,25 @@ struct FabricStats {
   [[nodiscard]] double seconds(const CS1Params& arch) const {
     return static_cast<double>(cycles) / arch.clock_hz;
   }
+};
+
+/// Host-side counters of the occupancy-indexed loop: how it ran, never what
+/// it simulated (simulated results are backend-invariant). They advance only
+/// on turbo steps and are bit-identical at any thread count.
+struct TurboStats {
+  /// Entries onto the fast loop: the first turbo step, and the first turbo
+  /// step after any reference step (a set_backend switch).
+  std::uint64_t promotions = 0;
+  /// Always 0: observers and fault plans run on the fast loop, so nothing
+  /// demotes it. Kept so existing readers of the counter keep working.
+  std::uint64_t demotions = 0;
+  /// Cycles stepped by the fast loop.
+  std::uint64_t turbo_cycles = 0;
+  /// Core steps satisfied by parking (one per parked tile per turbo cycle).
+  std::uint64_t parked_tile_cycles = 0;
+  /// Backpressure events in the route phase: a flit held in its virtual
+  /// channel because a forward queue or ramp was full.
+  std::uint64_t contended_tile_cycles = 0;
 };
 
 /// Why Fabric::run returned, with the forensics a deadlock investigation
@@ -226,23 +252,17 @@ public:
   /// SimParams::backend the same way). A backend is a host execution
   /// strategy only: switching never changes simulated results — the
   /// conformance suite holds turbo bit-identical to reference for results,
-  /// cycles, heatmaps and counters at any thread count. Composes with
-  /// set_threads: turbo steps through the same row-banded thread pool.
+  /// cycles, heatmaps, counters and observer outputs at any thread count.
+  /// Both backends keep the per-tile flags exact, so switching mid-run is
+  /// free. Composes with set_threads: both step the same row bands.
   void set_backend(Backend backend);
   [[nodiscard]] Backend backend() const { return backend_; }
-  /// True when the next step() takes the turbo fast path: turbo is
-  /// selected and no demotion trigger — tracer, profiler, flight recorder,
-  /// sampler, watchdog, fault plan — is currently attached. While a
-  /// trigger is attached the fabric silently steps the reference phases
-  /// (observers see exactly what they would see on reference, because it
-  /// IS reference); it re-promotes on the first step after detachment.
-  [[nodiscard]] bool turbo_active() const {
-    return backend_ == Backend::Turbo && !turbo_demoted();
-  }
-  /// Turbo bookkeeping counters (zeros until the first turbo step).
-  [[nodiscard]] TurboStats turbo_stats() const {
-    return turbo_ != nullptr ? turbo_->stats : TurboStats{};
-  }
+  /// True when step() takes the occupancy-indexed loop, i.e. turbo is
+  /// selected. Observers, the watchdog and fault plans run on that loop,
+  /// so attaching them does not change this.
+  [[nodiscard]] bool turbo_active() const { return backend_ == Backend::Turbo; }
+  /// Fast-loop bookkeeping counters (zeros until the first turbo step).
+  [[nodiscard]] TurboStats turbo_stats() const { return turbo_stats_; }
 
   /// Tiles with unfinished work right now (row-major, capped at `cap`):
   /// active-but-stalled tiles first; if none, not-done quiescent tiles
@@ -288,37 +308,24 @@ private:
     return x >= 0 && x < width_ && y >= 0 && y < height_;
   }
 
-  // Per-phase row-band workers. Each operates on rows [y0, y1) and, for
-  // the link phase, returns the number of link transfers it performed so
-  // the global counter can be reduced deterministically at the barrier.
-  // `band` indexes the per-band fault staging buffers.
-  void route_phase(int y0, int y1, int band);
+  // One cycle, and its per-phase row-band workers. kScanAll selects the
+  // reference oracle: visit every tile, scan colors 0..23 and fully step
+  // every core, never skipping work on the strength of a flag. Otherwise
+  // the phases skip provably empty work: unconfigured tiles, tiles with
+  // nothing queued, empty colors and parked cores. Each worker operates on
+  // rows [y0, y1); `band` indexes the per-band staging (fault events,
+  // TurboStats counters). The link phase returns its transfer count so the
+  // global counter is reduced deterministically at the barrier.
+  template <bool kScanAll> void step_phases();
+  template <bool kScanAll> void route_phase(int y0, int y1, int band);
+  template <bool kScanAll>
   void core_phase(int y0, int y1, Tracer* tracer, int band);
+  template <bool kScanAll>
   [[nodiscard]] std::uint64_t link_phase(int y0, int y1, int band);
 
-  // --- turbo backend (turbo_backend.cpp; docs/BACKENDS.md) ---
-
-  /// An attached observer or fault plan forces reference stepping.
-  [[nodiscard]] bool turbo_demoted() const {
-    return faults_ != nullptr || user_tracer_ != nullptr ||
-           profiler_ != nullptr || flightrec_ != nullptr ||
-           sampler_ != nullptr || netmon_ != nullptr ||
-           watchdog_cycles_ != 0;
-  }
-  /// (Re)build the SoA mirror from fabric state and mark it live.
-  void turbo_promote();
-  /// One turbo cycle: same three phases, same banding, over the mirror.
-  void turbo_step();
-  void turbo_route_phase(int y0, int y1, int band);
-  void turbo_core_phase(int y0, int y1, int band);
-  [[nodiscard]] std::uint64_t turbo_link_phase(int y0, int y1, int band);
-  [[nodiscard]] bool turbo_quiescent() const;
-  [[nodiscard]] bool turbo_all_done() const;
-  /// Structural mutation (reset_control, configure_tile, set_backend):
-  /// drop the mirror; the next turbo step resyncs via turbo_promote.
-  void turbo_invalidate() {
-    if (turbo_ != nullptr) turbo_->live = false;
-  }
+  /// Recompute every flag of tile `i` from its state (configure_tile,
+  /// reset_control).
+  void refresh_flags(std::size_t i);
 
   /// Bands actually used this step: min(threads_, height_), at least 1.
   [[nodiscard]] int band_count() const;
@@ -395,9 +402,43 @@ private:
   /// plan attach; like fault_stats_, survives plan detachment).
   std::vector<std::uint64_t> fault_injections_;
 
-  // --- turbo backend (allocated on first turbo step) ---
-  Backend backend_ = Backend::Reference;
-  std::unique_ptr<TurboState> turbo_;
+  // --- per-tile flags (docs/BACKENDS.md) ---
+
+  /// Dense per-tile facts the fast phases test before touching a tile (the
+  /// Tile array has a multi-KB stride, so loads through it are cache
+  /// misses). Both backends keep every flag exact, the way the RouterState
+  /// occupancy masks are kept exact.
+  struct TileFlags {
+    explicit TileFlags(std::size_t tiles)
+        : configured(tiles, 0), parked(tiles, 0), done(tiles, 0),
+          link_pending(tiles, 0),
+          route_pending(
+              std::make_unique<std::atomic<std::uint8_t>[]>(tiles)) {}
+    std::vector<std::uint8_t> configured; ///< tile has a core
+    /// The core is in the absorbing idle state (TileCore::quiescent()):
+    /// it cannot wake itself, only a delivery or reset_control wakes it.
+    std::vector<std::uint8_t> parked;
+    std::vector<std::uint8_t> done;         ///< core's done flag
+    std::vector<std::uint8_t> link_pending; ///< any out_queue holds a flit
+    /// Any in_queue holds a flit. Atomic (relaxed) because during the link
+    /// phase several source tiles — possibly in different row bands — mark
+    /// the same destination tile; all writers store 1, so ordering is
+    /// irrelevant, but the bytes must not race.
+    std::unique_ptr<std::atomic<std::uint8_t>[]> route_pending;
+  };
+  TileFlags flags_;
+
+  /// Per-band TurboStats staging, reduced in band order after each turbo
+  /// step so the counters are bit-identical at any thread count.
+  struct BandCounters {
+    std::uint64_t parked = 0;
+    std::uint64_t contended = 0;
+  };
+  std::vector<BandCounters> band_counters_;
+  TurboStats turbo_stats_;
+  bool last_step_turbo_ = false; ///< counts TurboStats::promotions
+
+  Backend backend_ = Backend::Turbo;
 };
 
 } // namespace wss::wse

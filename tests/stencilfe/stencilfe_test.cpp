@@ -59,9 +59,11 @@ void expect_state_bits(const std::vector<fp16_t>& want,
   }
 }
 
+/// Every cycle of the run stepped the fast loop, entered once.
 void expect_turbo_engaged(const wse::Fabric& f, const std::string& label) {
   EXPECT_EQ(f.turbo_stats().turbo_cycles, f.stats().cycles) << label;
-  EXPECT_GE(f.turbo_stats().promotions, 1u) << label;
+  EXPECT_EQ(f.turbo_stats().promotions, 1u) << label;
+  EXPECT_EQ(f.turbo_stats().demotions, 0u) << label;
 }
 
 /// The full conformance matrix for one workload: golden as truth, the

@@ -3,11 +3,10 @@
 // Scoped environment-variable save/unset/restore for tests whose behaviour
 // is env-sensitive (observer auto-attachment, backend selection, thread
 // counts). Constructing a guard unsets the variable; the destructor
-// restores whatever was there. The backend-conformance suite leans on this
-// hard: CI exports WSS_WATCHDOG_CYCLES / WSS_POSTMORTEM_DIR for the main
-// test run, and both auto-attach observers that demote the turbo backend —
-// a conformance test that didn't scrub them would silently compare
-// reference against reference.
+// restores whatever was there. The backend-conformance suite leans on this:
+// CI exports WSS_WATCHDOG_CYCLES / WSS_POSTMORTEM_DIR for the main test
+// run, and a differential must control exactly which observers, backend
+// and thread count each leg runs with (and must not write artifacts).
 
 #include <cstdlib>
 #include <string>
@@ -42,8 +41,8 @@ private:
 };
 
 /// Scrub every variable that can attach an observer to (or re-route) a
-/// fabric mid-test: with any of these live, the turbo backend demotes and
-/// a backend differential would vacuously pass.
+/// fabric mid-test, so each leg of a differential runs exactly the
+/// configuration the test gives it.
 struct CleanSimEnv {
   EnvGuard watchdog{"WSS_WATCHDOG_CYCLES"};
   EnvGuard postmortem{"WSS_POSTMORTEM_DIR"};

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "stencil/generators.hpp"
+#include "support/observer_compare.hpp"
 #include "support/proptest.hpp"
 #include "telemetry/profiler.hpp"
 #include "wse/fabric.hpp"
@@ -54,38 +55,12 @@ std::unique_ptr<telemetry::Profiler> run_profiled(const Problem& p,
   return prof;
 }
 
+/// Per-tile state (support/observer_compare.hpp), plus byte-identical
+/// reports and identical derived analyses.
 void expect_profiles_identical(const telemetry::Profiler& want,
                                const telemetry::Profiler& got,
                                const std::string& label) {
-  ASSERT_EQ(want.width(), got.width()) << label;
-  ASSERT_EQ(want.height(), got.height()) << label;
-  EXPECT_EQ(want.observed_cycles(), got.observed_cycles()) << label;
-  for (int y = 0; y < want.height(); ++y) {
-    for (int x = 0; x < want.width(); ++x) {
-      const telemetry::TileProfile& a = want.tile(x, y);
-      const telemetry::TileProfile& b = got.tile(x, y);
-      const std::string at =
-          label + " tile (" + std::to_string(x) + "," + std::to_string(y) +
-          ")";
-      ASSERT_EQ(a.configured, b.configured) << at;
-      EXPECT_EQ(a.cycles, b.cycles) << at;
-      EXPECT_EQ(a.compute_intervals, b.compute_intervals) << at;
-      ASSERT_EQ(a.recvs.size(), b.recvs.size()) << at;
-      for (std::size_t i = 0; i < a.recvs.size(); ++i) {
-        EXPECT_EQ(a.recvs[i].recv_cycle, b.recvs[i].recv_cycle) << at;
-        EXPECT_EQ(a.recvs[i].send_cycle, b.recvs[i].send_cycle) << at;
-        EXPECT_EQ(a.recvs[i].src_x, b.recvs[i].src_x) << at;
-        EXPECT_EQ(a.recvs[i].src_y, b.recvs[i].src_y) << at;
-      }
-      ASSERT_EQ(a.iter_marks.size(), b.iter_marks.size()) << at;
-      for (std::size_t i = 0; i < a.iter_marks.size(); ++i) {
-        EXPECT_EQ(a.iter_marks[i].iteration, b.iter_marks[i].iteration) << at;
-        EXPECT_EQ(a.iter_marks[i].cycle, b.iter_marks[i].cycle) << at;
-      }
-      EXPECT_EQ(a.recvs_dropped, b.recvs_dropped) << at;
-    }
-  }
-  // Byte-identical reports and identical derived analyses.
+  testsupport::expect_profiles_identical(want, got, label);
   EXPECT_EQ(want.to_json(), got.to_json()) << label;
   EXPECT_EQ(want.iteration_windows(), got.iteration_windows()) << label;
   const auto pa = telemetry::per_iteration_critical_paths(want);
