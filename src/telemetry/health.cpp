@@ -6,13 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "common/env.hpp"
-#include "telemetry/io.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/json_parse.hpp"
 #include "telemetry/postmortem.hpp"
 
 namespace wss::telemetry {
@@ -24,19 +22,6 @@ const char* to_string(AlertSeverity s) {
     case AlertSeverity::Critical: return "critical";
   }
   return "unknown";
-}
-
-bool parse_alert_severity(const std::string& text, AlertSeverity* out) {
-  if (text == "info") {
-    *out = AlertSeverity::Info;
-  } else if (text == "warn") {
-    *out = AlertSeverity::Warn;
-  } else if (text == "critical") {
-    *out = AlertSeverity::Critical;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 bool health_enabled() { return env::parse_int("WSS_HEALTH", 1, 0, 1) != 0; }
@@ -556,152 +541,64 @@ bool any_critical(const std::vector<HealthAlert>& alerts) {
   });
 }
 
-// --- wss.alerts/1 emission -----------------------------------------------
+// --- the wss.alerts/1 field lists ---------------------------------------
 
-std::string build_alerts_json(const AlertsFile& a) {
-  json::Writer w;
-  w.begin_object();
-  w.key("schema").value(kAlertsSchema);
-  w.key("program").value(a.program);
-  w.key("run_id").value(a.run_id);
-  w.key("tol_pct").value(a.tol_pct);
-  w.key("alerts").begin_array();
-  for (const HealthAlert& al : a.alerts) {
-    w.begin_object();
-    w.key("rule").value(al.rule);
-    w.key("severity").value(to_string(al.severity));
-    w.key("detail").value(al.detail);
-    w.key("first_frame").value(al.first_frame);
-    w.key("last_frame").value(al.last_frame);
-    w.key("first_cycle").value(al.first_cycle);
-    w.key("last_cycle").value(al.last_cycle);
-    w.key("inputs").begin_array();
-    for (const AlertInput& in : al.inputs) {
-      w.begin_object();
-      w.key("name").value(in.name);
-      w.key("value").value(in.value);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
+void describe(artifact::Io& io, AlertInput& in) {
+  io.field("name", in.name);
+  io.field("value", in.value);
 }
+
+void describe(artifact::Io& io, HealthAlert& a) {
+  io.field("rule", a.rule);
+  io.field("severity", a.severity, to_string, 3);
+  io.field("detail", a.detail);
+  io.field("first_frame", a.first_frame);
+  io.field("last_frame", a.last_frame);
+  io.field("first_cycle", a.first_cycle);
+  io.field("last_cycle", a.last_cycle);
+  io.field("inputs", a.inputs);
+}
+
+void describe(artifact::Io& io, AlertsFile& a) {
+  io.field("schema", a.schema);
+  io.field("program", a.program);
+  io.field("run_id", a.run_id);
+  io.field("tol_pct", a.tol_pct);
+  io.field("alerts", a.alerts);
+}
+
+std::string build_alerts_json(const AlertsFile& a) { return artifact::emit(a); }
 
 bool write_alerts(const std::string& path, const AlertsFile& a,
                   std::string* error) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos && slash > 0) {
-    if (!ensure_directory(path.substr(0, slash), error)) return false;
-  }
-  return write_text_file(path, build_alerts_json(a), error);
+  return artifact::write(path, a, error);
 }
-
-// --- loading -------------------------------------------------------------
-
-namespace {
-
-using jsonparse::Value;
-
-[[nodiscard]] std::string get_string(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_string() ? m->string : std::string{};
-}
-[[nodiscard]] double get_number(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_number() ? m->number : 0.0;
-}
-[[nodiscard]] std::uint64_t get_u64(const Value* v, const char* key) {
-  return static_cast<std::uint64_t>(get_number(v, key));
-}
-
-} // namespace
 
 bool load_alerts(const std::string& path, AlertsFile* out,
                  std::string* error) {
-  const auto set_error = [&](const std::string& why) {
-    if (error != nullptr) *error = path + ": " + why;
-    return false;
-  };
-
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return set_error("cannot open file");
-  std::ostringstream buf;
-  buf << file.rdbuf();
-  if (file.bad()) return set_error("read error");
-
-  const jsonparse::ParseResult parsed = jsonparse::parse(buf.str());
-  if (!parsed.ok()) return set_error("JSON error: " + parsed.error);
-  const Value& root = *parsed.value;
-  if (!root.is_object()) return set_error("top level is not an object");
-
-  AlertsFile a;
-  a.schema = get_string(&root, "schema");
-  if (a.schema != kAlertsSchema) {
-    return set_error("schema mismatch: got '" + a.schema + "', want '" +
-                     kAlertsSchema + "'");
-  }
-  a.program = get_string(&root, "program");
-  a.run_id = get_string(&root, "run_id");
-  a.tol_pct = get_number(&root, "tol_pct");
-  if (const Value* alerts = root.find("alerts");
-      alerts != nullptr && alerts->is_array()) {
-    for (const Value& av : *alerts->array) {
-      if (!av.is_object()) return set_error("alert is not an object");
-      HealthAlert al;
-      al.rule = get_string(&av, "rule");
-      if (!parse_alert_severity(get_string(&av, "severity"), &al.severity)) {
-        return set_error("alert '" + al.rule + "': unknown severity '" +
-                         get_string(&av, "severity") + "'");
-      }
-      al.detail = get_string(&av, "detail");
-      al.first_frame = get_u64(&av, "first_frame");
-      al.last_frame = get_u64(&av, "last_frame");
-      al.first_cycle = get_u64(&av, "first_cycle");
-      al.last_cycle = get_u64(&av, "last_cycle");
-      if (const Value* inputs = av.find("inputs");
-          inputs != nullptr && inputs->is_array()) {
-        for (const Value& iv : *inputs->array) {
-          AlertInput in;
-          in.name = get_string(&iv, "name");
-          in.value = get_number(&iv, "value");
-          al.inputs.push_back(std::move(in));
-        }
-      }
-      a.alerts.push_back(std::move(al));
-    }
-  }
-  *out = std::move(a);
-  return true;
+  return artifact::read(path, kAlertsSchema, out, error);
 }
 
 // --- self-check ----------------------------------------------------------
 
 bool self_check_alerts(const AlertsFile& a, std::string* error) {
-  const auto fail_with = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (a.schema != kAlertsSchema) {
-    return fail_with("schema mismatch: '" + a.schema + "'");
-  }
+  using artifact::fail_with;
+  if (!artifact::check_schema(a.schema, kAlertsSchema, error)) return false;
   if (!std::isfinite(a.tol_pct) || a.tol_pct < 0.0) {
-    return fail_with("negative or non-finite tolerance");
+    return fail_with(error, "negative or non-finite tolerance");
   }
   for (std::size_t i = 0; i < a.alerts.size(); ++i) {
     const HealthAlert& al = a.alerts[i];
     const std::string at = "alert " + std::to_string(i);
-    if (al.rule.empty()) return fail_with(at + ": empty rule name");
+    if (al.rule.empty()) return fail_with(error, at + ": empty rule name");
     if (al.first_frame > al.last_frame) {
-      return fail_with(at + ": frame range not ordered");
+      return fail_with(error, at + ": frame range not ordered");
     }
     if (al.first_cycle > al.last_cycle) {
-      return fail_with(at + ": cycle range not ordered");
+      return fail_with(error, at + ": cycle range not ordered");
     }
     for (const AlertInput& in : al.inputs) {
-      if (in.name.empty()) return fail_with(at + ": unnamed rule input");
+      if (in.name.empty()) return fail_with(error, at + ": unnamed rule input");
     }
   }
   return true;
@@ -722,47 +619,16 @@ std::string summarize_alert(const HealthAlert& a) {
   return out.str();
 }
 
-AlertDivergence first_alert_divergence(const AlertsFile& a,
-                                       const AlertsFile& b) {
-  AlertDivergence d;
-  if (a.program != b.program) {
-    d.note = "warning: program mismatch ('" + a.program + "' vs '" +
-             b.program + "') — divergence below may be meaningless";
-  } else if (a.tol_pct != b.tol_pct) {
+Divergence first_divergence(const AlertsFile& a, const AlertsFile& b) {
+  Divergence d = first_divergence_in("alert", "alert streams", a.alerts,
+                                     b.alerts, summarize_alert);
+  d.note = program_mismatch(a.program, b.program);
+  if (d.note.empty() && a.tol_pct != b.tol_pct) {
     d.note = "warning: tolerance mismatch (" + json::number(a.tol_pct) +
              " vs " + json::number(b.tol_pct) +
              ") — rules fired against different gates";
   }
-  const std::size_t n = std::min(a.alerts.size(), b.alerts.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a.alerts[i] == b.alerts[i]) continue;
-    d.found = true;
-    d.index = i;
-    d.a_alert = summarize_alert(a.alerts[i]);
-    d.b_alert = summarize_alert(b.alerts[i]);
-    return d;
-  }
-  if (a.alerts.size() != b.alerts.size()) {
-    d.found = true;
-    d.index = n;
-    const bool a_longer = a.alerts.size() > n;
-    d.a_alert = a_longer ? summarize_alert(a.alerts[n]) : "-";
-    d.b_alert = a_longer ? "-" : summarize_alert(b.alerts[n]);
-  }
   return d;
-}
-
-std::string pretty_alert_divergence(const AlertDivergence& d) {
-  std::ostringstream out;
-  if (!d.note.empty()) out << d.note << "\n";
-  if (!d.found) {
-    out << "no divergence: alert streams are identical\n";
-    return out.str();
-  }
-  out << "first divergent alert at index " << d.index << ":\n";
-  out << "  A: " << d.a_alert << "\n";
-  out << "  B: " << d.b_alert << "\n";
-  return out.str();
 }
 
 // --- rendering -----------------------------------------------------------

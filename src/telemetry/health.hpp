@@ -58,9 +58,6 @@ enum class AlertSeverity : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(AlertSeverity s);
-/// Parse a severity label ("info"/"warn"/"critical"); false on anything
-/// else (strict — loaders reject unknown severities).
-bool parse_alert_severity(const std::string& text, AlertSeverity* out);
 
 /// One named input the triggering rule evaluated (measured value, model
 /// projection, threshold, ...), carried for forensics.
@@ -68,9 +65,7 @@ struct AlertInput {
   std::string name;
   double value = 0.0;
 
-  [[nodiscard]] bool operator==(const AlertInput& o) const {
-    return name == o.name && value == o.value;
-  }
+  [[nodiscard]] bool operator==(const AlertInput&) const = default;
 };
 
 /// One coalesced alert: a rule that fired, with the offending frame range.
@@ -87,12 +82,7 @@ struct HealthAlert {
   std::uint64_t last_cycle = 0;
   std::vector<AlertInput> inputs;
 
-  [[nodiscard]] bool operator==(const HealthAlert& o) const {
-    return rule == o.rule && severity == o.severity && detail == o.detail &&
-           first_frame == o.first_frame && last_frame == o.last_frame &&
-           first_cycle == o.first_cycle && last_cycle == o.last_cycle &&
-           inputs == o.inputs;
-  }
+  [[nodiscard]] bool operator==(const HealthAlert&) const = default;
 };
 
 /// Tuning knobs; defaults come from the WSS_HEALTH_* environment variables
@@ -175,7 +165,8 @@ bool write_alerts(const std::string& path, const AlertsFile& a,
                   std::string* error = nullptr);
 
 /// Parse an alerts file. Returns false + `*error` (with context) on
-/// unreadable files, JSON errors, or schema mismatch.
+/// unreadable files, JSON errors, schema mismatch, or a bad field (an
+/// unknown severity included).
 bool load_alerts(const std::string& path, AlertsFile* out,
                  std::string* error = nullptr);
 
@@ -183,19 +174,15 @@ bool load_alerts(const std::string& path, AlertsFile* out,
 /// names, ordered frame/cycle ranges. Returns false + `*error` on drift.
 bool self_check_alerts(const AlertsFile& a, std::string* error = nullptr);
 
-/// First divergent alert between two alert streams (mirrors the
-/// post-mortem / timeseries diff UX; exit 3 in wss_inspect).
-struct AlertDivergence {
-  bool found = false;
-  std::size_t index = 0; ///< alert index of the first difference
-  std::string a_alert;   ///< one-line summary ("-" when absent)
-  std::string b_alert;
-  std::string note; ///< e.g. program mismatch warning
-};
+/// First divergent alert between two alert streams (exit 3 in
+/// wss_inspect).
+[[nodiscard]] Divergence first_divergence(const AlertsFile& a,
+                                          const AlertsFile& b);
 
-[[nodiscard]] AlertDivergence first_alert_divergence(const AlertsFile& a,
-                                                     const AlertsFile& b);
-[[nodiscard]] std::string pretty_alert_divergence(const AlertDivergence& d);
+/// The wss.alerts/1 field lists (telemetry/artifact.hpp).
+void describe(artifact::Io& io, AlertInput& in);
+void describe(artifact::Io& io, HealthAlert& a);
+void describe(artifact::Io& io, AlertsFile& a);
 
 /// One-line alert summary used by list mode, the diff, and postmortem
 /// anomaly details.

@@ -64,8 +64,8 @@ private:
       return false;
     }
     switch (peek()) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': return parse_nested(out);
       case '"': {
         out.kind = Kind::String;
         return parse_string(out.string);
@@ -197,6 +197,19 @@ private:
     }
   }
 
+  /// An array or object, one nesting level deeper. The cap bounds the
+  /// recursive descent's stack on hostile input (a file of a million '[').
+  bool parse_nested(Value& out) {
+    if (depth_ == kMaxDepth) {
+      error_ = "nesting deeper than " + std::to_string(kMaxDepth) + " levels";
+      return false;
+    }
+    ++depth_;
+    const bool ok = peek() == '{' ? parse_object(out) : parse_array(out);
+    --depth_;
+    return ok;
+  }
+
   bool parse_array(Value& out) {
     ++pos_; // '['
     out.kind = Kind::Array;
@@ -270,6 +283,7 @@ private:
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

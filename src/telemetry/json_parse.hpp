@@ -6,7 +6,8 @@
 // real DOM. Deliberately small: UTF-8 pass-through, \uXXXX decoded to
 // UTF-8, doubles via strtod, objects preserve insertion order (the shapes
 // we parse are tiny). Strict: trailing garbage, comments, NaN/Inf tokens,
-// and unterminated input are errors reported with a byte offset.
+// unterminated input and nesting deeper than kMaxDepth are errors reported
+// with a byte offset.
 
 #include <cstddef>
 #include <memory>
@@ -55,6 +56,11 @@ struct ParseResult {
   std::string error;          ///< human-readable, with byte offset
   [[nodiscard]] bool ok() const { return value.has_value(); }
 };
+
+/// Deepest array/object nesting parse() accepts. The deepest telemetry
+/// artifact nests about 5 levels; the cap bounds the recursive descent's
+/// stack on hostile input.
+inline constexpr int kMaxDepth = 64;
 
 /// Parse one complete JSON document (surrounding whitespace allowed).
 [[nodiscard]] ParseResult parse(std::string_view text);

@@ -1,6 +1,6 @@
-// Run-ledger implementation: run IDs, WSS_* env snapshots, JSONL
-// append/load, and the `wss_inspect runs` renderings. See ledger.hpp and
-// docs/TIMESERIES.md.
+// Run-ledger implementation: run IDs, WSS_* env snapshots, the manifest
+// field list (telemetry/artifact.hpp), JSONL append/load, and the
+// `wss_inspect runs` renderings. See ledger.hpp and docs/TIMESERIES.md.
 
 #include "telemetry/ledger.hpp"
 
@@ -16,9 +16,9 @@
 #include <unistd.h>
 
 #include "common/env.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/io.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/json_parse.hpp"
 #include "telemetry/timeseries.hpp" // sparkline
 
 extern char** environ;
@@ -59,58 +59,47 @@ std::vector<std::pair<std::string, std::string>> wss_environment() {
   return out;
 }
 
-// --- emission ------------------------------------------------------------
+// --- the wss.runledger/1 field lists ------------------------------------
 
-std::string manifest_json(const RunManifest& m) {
-  json::Writer w;
-  w.begin_object();
-  w.key("schema").value(kLedgerSchema);
-  w.key("run_id").value(m.run_id);
-  w.key("program").value(m.program);
-  w.key("width").value(m.width);
-  w.key("height").value(m.height);
-  w.key("threads").value(m.threads);
-  w.key("cycles").value(m.cycles);
-  w.key("outcome").value(m.outcome);
-  w.key("deadlock").value(m.deadlock);
-  w.key("fault_total").value(m.fault_total);
-  w.key("env").begin_object();
-  for (const auto& [name, value] : m.env) {
-    w.key(name).value(value);
-  }
-  w.end_object();
-  w.key("metrics").begin_array();
-  for (const RunMetric& metric : m.metrics) {
-    w.begin_object();
-    w.key("name").value(metric.name);
-    w.key("value").value(metric.value);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("artifacts").begin_array();
-  for (const RunArtifact& a : m.artifacts) {
-    w.begin_object();
-    w.key("kind").value(a.kind);
-    w.key("path").value(a.path);
-    w.end_object();
-  }
-  w.end_array();
-  if (!m.alerts.empty()) {
+void describe(artifact::Io& io, RunMetric& m) {
+  io.field("name", m.name);
+  io.field("value", m.value);
+}
+
+void describe(artifact::Io& io, RunArtifact& a) {
+  io.field("kind", a.kind);
+  io.field("path", a.path);
+}
+
+void describe(artifact::Io& io, RunAlert& a) {
+  io.field("rule", a.rule);
+  io.field("severity", a.severity);
+  io.field("cycle", a.cycle);
+}
+
+void describe(artifact::Io& io, RunManifest& m) {
+  std::string schema = kLedgerSchema;
+  io.field("schema", schema);
+  io.field("run_id", m.run_id);
+  io.field("program", m.program);
+  io.field("width", m.width);
+  io.field("height", m.height);
+  io.field("threads", m.threads);
+  io.field("cycles", m.cycles);
+  io.field("outcome", m.outcome);
+  io.field("deadlock", m.deadlock);
+  io.field("fault_total", m.fault_total);
+  io.dict("env", m.env);
+  io.field("metrics", m.metrics);
+  io.field("artifacts", m.artifacts);
+  if (io.loading() || !m.alerts.empty()) {
     // Omitted on healthy runs so pre-health ledger lines stay byte-stable
     // against re-emission; the schema tag remains wss.runledger/1.
-    w.key("alerts").begin_array();
-    for (const RunAlert& a : m.alerts) {
-      w.begin_object();
-      w.key("rule").value(a.rule);
-      w.key("severity").value(a.severity);
-      w.key("cycle").value(a.cycle);
-      w.end_object();
-    }
-    w.end_array();
+    io.field("alerts", m.alerts);
   }
-  w.end_object();
-  return w.str();
 }
+
+std::string manifest_json(const RunManifest& m) { return artifact::emit(m); }
 
 std::string ledger_dir() { return env::parse_string("WSS_LEDGER_DIR"); }
 
@@ -148,79 +137,9 @@ std::string maybe_append_run_manifest(const RunManifest& m) {
 
 namespace {
 
-using jsonparse::Value;
-
-[[nodiscard]] std::string get_string(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_string() ? m->string : std::string{};
-}
-[[nodiscard]] double get_number(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_number() ? m->number : 0.0;
-}
-[[nodiscard]] bool get_bool(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->kind == jsonparse::Kind::Bool && m->boolean;
-}
-
 [[nodiscard]] bool is_directory(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-[[nodiscard]] bool parse_manifest_line(const std::string& line,
-                                       RunManifest* out) {
-  const jsonparse::ParseResult parsed = jsonparse::parse(line);
-  if (!parsed.ok() || !parsed.value->is_object()) return false;
-  const Value& root = *parsed.value;
-  if (get_string(&root, "schema") != kLedgerSchema) return false;
-  RunManifest m;
-  m.run_id = get_string(&root, "run_id");
-  if (m.run_id.empty()) return false;
-  m.program = get_string(&root, "program");
-  m.width = static_cast<int>(get_number(&root, "width"));
-  m.height = static_cast<int>(get_number(&root, "height"));
-  m.threads = static_cast<int>(get_number(&root, "threads"));
-  m.cycles = static_cast<std::uint64_t>(get_number(&root, "cycles"));
-  m.outcome = get_string(&root, "outcome");
-  m.deadlock = get_bool(&root, "deadlock");
-  m.fault_total = static_cast<std::uint64_t>(get_number(&root, "fault_total"));
-  if (const Value* env = root.find("env");
-      env != nullptr && env->is_object()) {
-    for (const auto& [name, value] : *env->object) {
-      if (value.is_string()) m.env.emplace_back(name, value.string);
-    }
-  }
-  if (const Value* metrics = root.find("metrics");
-      metrics != nullptr && metrics->is_array()) {
-    for (const Value& v : *metrics->array) {
-      RunMetric metric;
-      metric.name = get_string(&v, "name");
-      metric.value = get_number(&v, "value");
-      m.metrics.push_back(std::move(metric));
-    }
-  }
-  if (const Value* artifacts = root.find("artifacts");
-      artifacts != nullptr && artifacts->is_array()) {
-    for (const Value& v : *artifacts->array) {
-      RunArtifact a;
-      a.kind = get_string(&v, "kind");
-      a.path = get_string(&v, "path");
-      m.artifacts.push_back(std::move(a));
-    }
-  }
-  if (const Value* alerts = root.find("alerts");
-      alerts != nullptr && alerts->is_array()) {
-    for (const Value& v : *alerts->array) {
-      RunAlert a;
-      a.rule = get_string(&v, "rule");
-      a.severity = get_string(&v, "severity");
-      a.cycle = static_cast<std::uint64_t>(get_number(&v, "cycle"));
-      m.alerts.push_back(std::move(a));
-    }
-  }
-  *out = std::move(m);
-  return true;
 }
 
 } // namespace
@@ -238,7 +157,8 @@ bool load_ledger(const std::string& path, Ledger* out, std::string* error) {
   while (std::getline(in, line)) {
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     RunManifest m;
-    if (parse_manifest_line(line, &m)) {
+    if (artifact::parse(line, kLedgerSchema, &m, nullptr) &&
+        !m.run_id.empty()) {
       ledger.runs.push_back(std::move(m));
     } else {
       ++ledger.skipped_lines;

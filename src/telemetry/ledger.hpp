@@ -20,6 +20,10 @@
 
 namespace wss::telemetry {
 
+namespace artifact {
+class Io; // telemetry/artifact.hpp
+}
+
 /// Ledger schema identifier; bump on breaking layout changes.
 inline constexpr const char* kLedgerSchema = "wss.runledger/1";
 
@@ -92,6 +96,12 @@ wss_environment();
 
 /// Render one manifest as a single JSON line (no trailing newline).
 [[nodiscard]] std::string manifest_json(const RunManifest& m);
+
+/// The wss.runledger/1 field lists (telemetry/artifact.hpp).
+void describe(artifact::Io& io, RunMetric& m);
+void describe(artifact::Io& io, RunArtifact& a);
+void describe(artifact::Io& io, RunAlert& a);
+void describe(artifact::Io& io, RunManifest& m);
 
 /// $WSS_LEDGER_DIR or "" (strict parse; see common/env.hpp).
 [[nodiscard]] std::string ledger_dir();

@@ -1,20 +1,19 @@
-// Network-observatory analysis: the `wss.netflows/1` artifact (build /
-// emit / load / self-check / diff), the FlowTable JSON embedding, and the
-// terminal renderings (wss_inspect flows, the wss_top network pane). The
-// recording half lives in netmon.hpp (header-only, included by the
-// fabric); see docs/NETWORK.md for the schema and the workflow.
+// Network-observatory analysis: the `wss.netflows/1` artifact (build, its
+// field lists over telemetry/artifact.hpp, self-check, diff), the
+// FlowTable JSON embedding, and the terminal renderings (wss_inspect
+// flows, the wss_top network pane). The recording half lives in
+// netmon.hpp (header-only, included by the fabric); see docs/NETWORK.md
+// for the schema and the workflow.
 
 #include "telemetry/netmon.hpp"
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/env.hpp"
-#include "telemetry/io.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/json_parse.hpp"
 
 namespace wss::telemetry {
 
@@ -141,169 +140,24 @@ NetFlowsFile build_netflows(const NetMonitor& mon, const std::string& program,
   return f;
 }
 
-// --- emission ------------------------------------------------------------
-
-void emit_flow_table(json::Writer& w, const wse::FlowTable& t) {
-  w.begin_object();
-  w.key("flows").begin_array();
-  for (const std::string& name : t.flows()) w.value(name);
-  w.end_array();
-  // Total (dir, color) -> flow-index map, one row of kNumColors ints per
-  // mesh direction in N/S/E/W order.
-  w.key("map").begin_array();
-  for (int d = 0; d < 4; ++d) {
-    w.begin_array();
-    for (int c = 0; c < wse::kNumColors; ++c) {
-      w.value(static_cast<std::int64_t>(
-          t.flow_at(static_cast<wse::Dir>(d), static_cast<wse::Color>(c))));
-    }
-    w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-}
+// --- the wss.netflows/1 field lists -------------------------------------
 
 namespace {
 
-void emit_link_stat(json::Writer& w, const NetLinkStat& l) {
-  w.begin_object();
-  w.key("x").value(static_cast<std::int64_t>(l.x));
-  w.key("y").value(static_cast<std::int64_t>(l.y));
-  w.key("dir").value(wse::to_string(l.dir));
-  w.key("words").value(l.words);
-  w.key("blocked").value(l.blocked);
-  w.key("stall_cycles").value(l.stall_cycles);
-  w.key("peak_queue").value(l.peak_queue);
-  w.end_object();
-}
-
-} // namespace
-
-std::string build_netflows_json(const NetFlowsFile& f) {
-  json::Writer w;
-  w.begin_object();
-  w.key("schema").value(f.schema);
-  w.key("program").value(f.program);
-  w.key("run_id").value(f.run_id);
-  w.key("width").value(static_cast<std::int64_t>(f.width));
-  w.key("height").value(static_cast<std::int64_t>(f.height));
-  w.key("cycles").value(f.cycles);
-  w.key("iterations").value(f.iterations);
-  w.key("link_transfers").value(f.link_transfers);
-  w.key("flow_table");
-  emit_flow_table(w, f.flow_table);
-  w.key("flows").begin_array();
-  for (const NetFlowTotals& row : f.flows) {
-    w.begin_object();
-    w.key("flow").value(row.flow);
-    w.key("words").value(row.words);
-    w.key("blocked").value(row.blocked);
-    w.key("peak_queue").value(row.peak_queue);
-    if (row.expected_words_per_iteration > 0.0) {
-      w.key("expected_words_per_iteration")
-          .value(row.expected_words_per_iteration);
-      w.key("exact").value(row.exact);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.key("hot_links").begin_array();
-  for (const NetLinkStat& l : f.hot_links) emit_link_stat(w, l);
-  w.end_array();
-  w.key("congested_links").begin_array();
-  for (const NetLinkStat& l : f.congested_links) emit_link_stat(w, l);
-  w.end_array();
-  w.key("bisection_x_words").value(f.bisection_x_words);
-  w.key("bisection_y_words").value(f.bisection_y_words);
-  w.end_object();
-  return w.str();
-}
-
-bool write_netflows(const std::string& path, const NetFlowsFile& f,
-                    std::string* error) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos && slash > 0) {
-    if (!ensure_directory(path.substr(0, slash), error)) return false;
-  }
-  return write_text_file(path, build_netflows_json(f), error);
-}
-
-// --- loading -------------------------------------------------------------
-
-namespace {
-
-using jsonparse::Value;
-
-[[nodiscard]] std::string get_string(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_string() ? m->string : std::string{};
-}
-[[nodiscard]] double get_number(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_number() ? m->number : 0.0;
-}
-[[nodiscard]] std::uint64_t get_u64(const Value* v, const char* key) {
-  return static_cast<std::uint64_t>(get_number(v, key));
-}
-[[nodiscard]] bool get_bool(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->kind == jsonparse::Kind::Bool && m->boolean;
-}
-
-bool parse_dir(const std::string& text, wse::Dir* out) {
-  if (text == "N") *out = wse::Dir::North;
-  else if (text == "S") *out = wse::Dir::South;
-  else if (text == "E") *out = wse::Dir::East;
-  else if (text == "W") *out = wse::Dir::West;
-  else return false;
-  return true;
-}
-
-bool parse_link_stat(const Value& v, NetLinkStat* out) {
-  if (!v.is_object()) return false;
-  NetLinkStat l;
-  l.x = static_cast<int>(get_number(&v, "x"));
-  l.y = static_cast<int>(get_number(&v, "y"));
-  if (!parse_dir(get_string(&v, "dir"), &l.dir)) return false;
-  l.words = get_u64(&v, "words");
-  l.blocked = get_u64(&v, "blocked");
-  l.stall_cycles = get_u64(&v, "stall_cycles");
-  l.peak_queue = get_u64(&v, "peak_queue");
-  *out = l;
-  return true;
-}
-
-} // namespace
-
-bool parse_flow_table(const jsonparse::Value& v, wse::FlowTable* out) {
-  if (!v.is_object()) return false;
-  const Value* flows = v.find("flows");
-  const Value* map = v.find("map");
-  if (flows == nullptr || !flows->is_array() || map == nullptr ||
-      !map->is_array() || map->array->size() != 4) {
-    return false;
-  }
-  std::vector<std::string> names;
-  names.reserve(flows->array->size());
-  for (const Value& n : *flows->array) {
-    if (!n.is_string()) return false;
-    names.push_back(n.string);
-  }
-  if (names.empty() || names[0] != "control") return false;
+/// Rebuild a table from its serialized names and map. declare() interns
+/// in first-seen order, so re-declaring the names in order reproduces the
+/// original indexing exactly, and bind() refuses a double-booked color.
+bool rebuild_flow_table(const std::vector<std::string>& names,
+                        const std::vector<std::vector<int>>& map,
+                        wse::FlowTable* out) {
+  if (names.empty() || names[0] != "control" || map.size() != 4) return false;
   wse::FlowTable t;
-  // declare() interns in first-seen order, so re-declaring the serialized
-  // names in order reproduces the original indexing exactly.
   for (const std::string& n : names) (void)t.declare(n);
   for (int d = 0; d < 4; ++d) {
-    const Value& row = (*map->array)[static_cast<std::size_t>(d)];
-    if (!row.is_array() ||
-        row.array->size() != static_cast<std::size_t>(wse::kNumColors)) {
-      return false;
-    }
+    const std::vector<int>& row = map[static_cast<std::size_t>(d)];
+    if (row.size() != static_cast<std::size_t>(wse::kNumColors)) return false;
     for (int c = 0; c < wse::kNumColors; ++c) {
-      const Value& e = (*row.array)[static_cast<std::size_t>(c)];
-      if (!e.is_number()) return false;
-      const int idx = static_cast<int>(e.number);
+      const int idx = row[static_cast<std::size_t>(c)];
       if (idx < 0 || idx >= static_cast<int>(names.size())) return false;
       if (idx == wse::kFlowControl) continue;
       if (!t.bind(static_cast<wse::Dir>(d), static_cast<wse::Color>(c),
@@ -316,101 +170,126 @@ bool parse_flow_table(const jsonparse::Value& v, wse::FlowTable* out) {
   return true;
 }
 
+/// The flow table's fields: the declared names, then the total
+/// (dir, color) -> flow-index map, one row of kNumColors ints per mesh
+/// direction in N/S/E/W order.
+void flow_table_fields(artifact::Io& io, wse::FlowTable& t) {
+  std::vector<std::string> names;
+  std::vector<std::vector<int>> map;
+  if (!io.loading()) {
+    names = t.flows();
+    map.assign(4, std::vector<int>(wse::kNumColors));
+    for (int d = 0; d < 4; ++d) {
+      for (int c = 0; c < wse::kNumColors; ++c) {
+        map[static_cast<std::size_t>(d)][static_cast<std::size_t>(c)] =
+            t.flow_at(static_cast<wse::Dir>(d), static_cast<wse::Color>(c));
+      }
+    }
+  }
+  io.field("flows", names);
+  io.field("map", map);
+  if (io.loading() && !rebuild_flow_table(names, map, &t)) {
+    io.fail("invalid flow table");
+  }
+}
+
+} // namespace
+
+void emit_flow_table(json::Writer& w, const wse::FlowTable& t) {
+  wse::FlowTable copy = t;
+  artifact::Io io(w);
+  w.begin_object();
+  flow_table_fields(io, copy);
+  w.end_object();
+}
+
+bool parse_flow_table(const jsonparse::Value& v, wse::FlowTable* out) {
+  if (!v.is_object()) return false;
+  std::string error;
+  artifact::Io io(v, &error);
+  wse::FlowTable t;
+  flow_table_fields(io, t);
+  if (!error.empty()) return false;
+  *out = std::move(t);
+  return true;
+}
+
+void describe(artifact::Io& io, NetFlowTotals& row) {
+  io.field("flow", row.flow);
+  io.field("words", row.words);
+  io.field("blocked", row.blocked);
+  io.field("peak_queue", row.peak_queue);
+  if (io.loading() || row.expected_words_per_iteration > 0.0) {
+    io.field("expected_words_per_iteration",
+             row.expected_words_per_iteration);
+    io.field("exact", row.exact);
+  }
+}
+
+void describe(artifact::Io& io, NetLinkStat& l) {
+  io.field("x", l.x);
+  io.field("y", l.y);
+  io.field("dir", l.dir, wse::to_string, 4); // N/S/E/W: links only
+  io.field("words", l.words);
+  io.field("blocked", l.blocked);
+  io.field("stall_cycles", l.stall_cycles);
+  io.field("peak_queue", l.peak_queue);
+}
+
+void describe(artifact::Io& io, NetFlowsFile& f) {
+  io.field("schema", f.schema);
+  io.field("program", f.program);
+  io.field("run_id", f.run_id);
+  io.field("width", f.width);
+  io.field("height", f.height);
+  io.field("cycles", f.cycles);
+  io.field("iterations", f.iterations);
+  io.field("link_transfers", f.link_transfers);
+  io.object("flow_table",
+            [&](artifact::Io& t) { flow_table_fields(t, f.flow_table); });
+  io.field("flows", f.flows);
+  io.field("hot_links", f.hot_links);
+  io.field("congested_links", f.congested_links);
+  io.field("bisection_x_words", f.bisection_x_words);
+  io.field("bisection_y_words", f.bisection_y_words);
+}
+
+std::string build_netflows_json(const NetFlowsFile& f) {
+  return artifact::emit(f);
+}
+
+bool write_netflows(const std::string& path, const NetFlowsFile& f,
+                    std::string* error) {
+  return artifact::write(path, f, error);
+}
+
 bool load_netflows(const std::string& path, NetFlowsFile* out,
                    std::string* error) {
-  const auto set_error = [&](const std::string& why) {
-    if (error != nullptr) *error = path + ": " + why;
-    return false;
-  };
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error("cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return set_error("read error");
-  const std::string text = buf.str();
-  const jsonparse::ParseResult parsed = jsonparse::parse(text);
-  if (!parsed.ok()) return set_error("JSON error: " + parsed.error);
-  const Value& root = *parsed.value;
-  if (!root.is_object()) return set_error("top level is not an object");
-
-  NetFlowsFile f;
-  f.schema = get_string(&root, "schema");
-  if (f.schema != kNetFlowsSchema) {
-    return set_error("schema mismatch: got '" + f.schema + "', want '" +
-                     kNetFlowsSchema + "'");
-  }
-  f.program = get_string(&root, "program");
-  f.run_id = get_string(&root, "run_id");
-  f.width = static_cast<int>(get_number(&root, "width"));
-  f.height = static_cast<int>(get_number(&root, "height"));
-  f.cycles = get_u64(&root, "cycles");
-  f.iterations = get_u64(&root, "iterations");
-  f.link_transfers = get_u64(&root, "link_transfers");
-  const Value* table = root.find("flow_table");
-  if (table == nullptr || !parse_flow_table(*table, &f.flow_table)) {
-    return set_error("invalid flow_table");
-  }
-  if (const Value* flows = root.find("flows");
-      flows != nullptr && flows->is_array()) {
-    for (const Value& rv : *flows->array) {
-      if (!rv.is_object()) return set_error("flow row is not an object");
-      NetFlowTotals row;
-      row.flow = get_string(&rv, "flow");
-      row.words = get_u64(&rv, "words");
-      row.blocked = get_u64(&rv, "blocked");
-      row.peak_queue = get_u64(&rv, "peak_queue");
-      row.expected_words_per_iteration =
-          get_number(&rv, "expected_words_per_iteration");
-      row.exact = get_bool(&rv, "exact");
-      f.flows.push_back(std::move(row));
-    }
-  }
-  if (const Value* hot = root.find("hot_links");
-      hot != nullptr && hot->is_array()) {
-    for (const Value& lv : *hot->array) {
-      NetLinkStat l;
-      if (!parse_link_stat(lv, &l)) return set_error("invalid hot link");
-      f.hot_links.push_back(l);
-    }
-  }
-  if (const Value* cong = root.find("congested_links");
-      cong != nullptr && cong->is_array()) {
-    for (const Value& lv : *cong->array) {
-      NetLinkStat l;
-      if (!parse_link_stat(lv, &l)) return set_error("invalid congested link");
-      f.congested_links.push_back(l);
-    }
-  }
-  f.bisection_x_words = get_u64(&root, "bisection_x_words");
-  f.bisection_y_words = get_u64(&root, "bisection_y_words");
-  *out = std::move(f);
-  return true;
+  return artifact::read(path, kNetFlowsSchema, out, error);
 }
 
 // --- self-check ----------------------------------------------------------
 
 bool self_check_netflows(const NetFlowsFile& f, std::string* error) {
-  const auto fail_with = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+  using artifact::fail_with;
+  if (!artifact::check_schema(f.schema, kNetFlowsSchema, error)) {
     return false;
-  };
-  if (f.schema != kNetFlowsSchema) {
-    return fail_with("schema mismatch: '" + f.schema + "'");
   }
   if (f.width <= 0 || f.height <= 0) {
-    return fail_with("non-positive fabric dimensions");
+    return fail_with(error, "non-positive fabric dimensions");
   }
   const int nflows = f.flow_table.flow_count();
   if (static_cast<int>(f.flows.size()) != nflows) {
-    return fail_with("flow rollup count (" + std::to_string(f.flows.size()) +
-                     ") disagrees with the flow table (" +
-                     std::to_string(nflows) + ")");
+    return fail_with(error, "flow rollup count (" +
+                                std::to_string(f.flows.size()) +
+                                ") disagrees with the flow table (" +
+                                std::to_string(nflows) + ")");
   }
   std::uint64_t total = 0;
   for (int i = 0; i < nflows; ++i) {
     const NetFlowTotals& row = f.flows[static_cast<std::size_t>(i)];
     if (row.flow != f.flow_table.flow_name(i)) {
-      return fail_with("flow row " + std::to_string(i) + " named '" +
+      return fail_with(error, "flow row " + std::to_string(i) + " named '" +
                        row.flow + "', flow table says '" +
                        f.flow_table.flow_name(i) + "'");
     }
@@ -421,21 +300,22 @@ bool self_check_netflows(const NetFlowsFile& f, std::string* error) {
   // side — so the rollup must reproduce the fabric's transfer count
   // *exactly*, fault runs included.
   if (total != f.link_transfers) {
-    return fail_with("flow words not conserved: sum over flows is " +
+    return fail_with(error, "flow words not conserved: sum over flows is " +
                      std::to_string(total) + ", fabric counted " +
                      std::to_string(f.link_transfers) + " link transfers");
   }
   for (const NetLinkStat& l : f.hot_links) {
     if (l.x < 0 || l.x >= f.width || l.y < 0 || l.y >= f.height) {
-      return fail_with("hot link outside the fabric");
+      return fail_with(error, "hot link outside the fabric");
     }
   }
   for (const NetLinkStat& l : f.congested_links) {
     if (l.x < 0 || l.x >= f.width || l.y < 0 || l.y >= f.height) {
-      return fail_with("congested link outside the fabric");
+      return fail_with(error, "congested link outside the fabric");
     }
     if (l.stall_cycles > f.cycles && f.cycles > 0) {
-      return fail_with("congested link stalled longer than the observation");
+      return fail_with(error,
+                       "congested link stalled longer than the observation");
     }
   }
   return true;
@@ -454,47 +334,16 @@ std::string summarize_flow(const NetFlowTotals& f) {
   return out.str();
 }
 
-NetFlowsDivergence first_netflows_divergence(const NetFlowsFile& a,
-                                             const NetFlowsFile& b) {
-  NetFlowsDivergence d;
-  if (a.program != b.program) {
-    d.note = "warning: program mismatch ('" + a.program + "' vs '" +
-             b.program + "') — divergence below may be meaningless";
-  } else if (a.width != b.width || a.height != b.height) {
+Divergence first_divergence(const NetFlowsFile& a, const NetFlowsFile& b) {
+  Divergence d = first_divergence_in("flow", "per-flow rollups", a.flows,
+                                     b.flows, summarize_flow);
+  d.note = program_mismatch(a.program, b.program);
+  if (d.note.empty() && (a.width != b.width || a.height != b.height)) {
     d.note = "warning: fabric mismatch (" + std::to_string(a.width) + "x" +
              std::to_string(a.height) + " vs " + std::to_string(b.width) +
              "x" + std::to_string(b.height) + ")";
   }
-  const std::size_t n = std::min(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a.flows[i] == b.flows[i]) continue;
-    d.found = true;
-    d.index = i;
-    d.a_flow = summarize_flow(a.flows[i]);
-    d.b_flow = summarize_flow(b.flows[i]);
-    return d;
-  }
-  if (a.flows.size() != b.flows.size()) {
-    d.found = true;
-    d.index = n;
-    const bool a_longer = a.flows.size() > n;
-    d.a_flow = a_longer ? summarize_flow(a.flows[n]) : "-";
-    d.b_flow = a_longer ? "-" : summarize_flow(b.flows[n]);
-  }
   return d;
-}
-
-std::string pretty_netflows_divergence(const NetFlowsDivergence& d) {
-  std::ostringstream out;
-  if (!d.note.empty()) out << d.note << "\n";
-  if (!d.found) {
-    out << "no divergence: per-flow rollups are identical\n";
-    return out.str();
-  }
-  out << "first divergent flow at index " << d.index << ":\n";
-  out << "  A: " << d.a_flow << "\n";
-  out << "  B: " << d.b_flow << "\n";
-  return out.str();
 }
 
 // --- rendering -----------------------------------------------------------

@@ -50,6 +50,9 @@ class Writer; // telemetry/json.hpp
 namespace jsonparse {
 struct Value; // telemetry/json_parse.hpp
 }
+namespace artifact {
+class Io; // telemetry/artifact.hpp
+}
 
 /// Netflows schema identifier; bump on breaking layout changes.
 inline constexpr const char* kNetFlowsSchema = "wss.netflows/1";
@@ -248,12 +251,7 @@ struct NetFlowTotals {
   double expected_words_per_iteration = 0.0; ///< <= 0 ungated
   bool exact = false;
 
-  [[nodiscard]] bool operator==(const NetFlowTotals& o) const {
-    return flow == o.flow && words == o.words && blocked == o.blocked &&
-           peak_queue == o.peak_queue &&
-           expected_words_per_iteration == o.expected_words_per_iteration &&
-           exact == o.exact;
-  }
+  [[nodiscard]] bool operator==(const NetFlowTotals&) const = default;
 };
 
 /// One link's totals (hotspot / congestion tables).
@@ -266,11 +264,7 @@ struct NetLinkStat {
   std::uint64_t stall_cycles = 0;
   std::uint64_t peak_queue = 0;
 
-  [[nodiscard]] bool operator==(const NetLinkStat& o) const {
-    return x == o.x && y == o.y && dir == o.dir && words == o.words &&
-           blocked == o.blocked && stall_cycles == o.stall_cycles &&
-           peak_queue == o.peak_queue;
-  }
+  [[nodiscard]] bool operator==(const NetLinkStat&) const = default;
 };
 
 /// A loaded (or to-be-written) `wss.netflows/1` file.
@@ -315,7 +309,7 @@ bool write_netflows(const std::string& path, const NetFlowsFile& f,
                     std::string* error = nullptr);
 
 /// Parse an artifact. Returns false + `*error` (with context) on
-/// unreadable files, JSON errors, or schema mismatch.
+/// unreadable files, JSON errors, schema mismatch, or a bad field.
 bool load_netflows(const std::string& path, NetFlowsFile* out,
                    std::string* error = nullptr);
 
@@ -330,18 +324,13 @@ void emit_flow_table(json::Writer& w, const wse::FlowTable& t);
 bool parse_flow_table(const jsonparse::Value& v, wse::FlowTable* out);
 
 /// First divergent flow row between two artifacts (exit 3 in wss_inspect).
-struct NetFlowsDivergence {
-  bool found = false;
-  std::size_t index = 0; ///< flow index of the first difference
-  std::string a_flow;    ///< one-line summary ("-" when absent)
-  std::string b_flow;
-  std::string note; ///< e.g. program/fabric mismatch warning
-};
+[[nodiscard]] Divergence first_divergence(const NetFlowsFile& a,
+                                          const NetFlowsFile& b);
 
-[[nodiscard]] NetFlowsDivergence first_netflows_divergence(
-    const NetFlowsFile& a, const NetFlowsFile& b);
-[[nodiscard]] std::string pretty_netflows_divergence(
-    const NetFlowsDivergence& d);
+/// The wss.netflows/1 field lists (telemetry/artifact.hpp).
+void describe(artifact::Io& io, NetFlowTotals& row);
+void describe(artifact::Io& io, NetLinkStat& l);
+void describe(artifact::Io& io, NetFlowsFile& f);
 
 /// One-line flow summary used by list mode and the diff.
 [[nodiscard]] std::string summarize_flow(const NetFlowTotals& f);

@@ -1,12 +1,12 @@
-// Post-mortem forensics: wait-for graph construction, bundle emission,
-// bundle loading, pretty-printing and run diffing. See postmortem.hpp and
-// docs/POSTMORTEM.md for the schema and the investigation workflow.
+// Post-mortem forensics: wait-for graph construction, the bundle snapshot
+// and its field lists (telemetry/artifact.hpp), pretty-printing and run
+// diffing. See postmortem.hpp and docs/POSTMORTEM.md for the schema and
+// the investigation workflow.
 
 #include "telemetry/postmortem.hpp"
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -14,12 +14,11 @@
 #include <utility>
 
 #include "common/env.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/global.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/io.hpp"
-#include "telemetry/json.hpp"
-#include "telemetry/json_parse.hpp"
 #include "telemetry/ledger.hpp"
 #include "telemetry/profiler.hpp"
 #include "wse/fabric.hpp"
@@ -310,206 +309,207 @@ WaitForGraph build_wait_for_graph(const wse::Fabric& fabric) {
   return g;
 }
 
-// --- bundle writing -----------------------------------------------------
+// --- the wss.postmortem/1 field lists -----------------------------------
 
-namespace {
-
-void emit_heatmap(json::Writer& w, const Heatmap& h) {
-  w.begin_object();
-  w.key("name").value(h.name);
-  w.key("width").value(h.width);
-  w.key("height").value(h.height);
-  w.key("cells").begin_array();
-  for (const double v : h.cells) w.value(v);
-  w.end_array();
-  w.end_object();
+void describe(artifact::Io& io, WaitForEdge& e) {
+  io.field("from", std::tie(e.from_x, e.from_y));
+  io.field("to", std::tie(e.to_x, e.to_y));
+  io.field("color", e.color);
+  io.field("why", e.why);
 }
 
-void emit_tile_pair_array(json::Writer& w, const char* name,
-                          const std::vector<std::pair<int, int>>& tiles) {
-  w.key(name).begin_array();
-  for (const auto& [x, y] : tiles) {
-    w.begin_array().value(x).value(y).end_array();
+void describe(artifact::Io& io, WaitForGraph::TileState& t) {
+  io.field("x", t.x);
+  io.field("y", t.y);
+  io.field("task", t.task);
+  io.field("state", t.state);
+}
+
+void describe(artifact::Io& io, BundleEvent& e) {
+  io.field("cycle", e.cycle);
+  io.field("kind", e.kind);
+  io.field("a", e.a);
+  io.field("b", e.b);
+  io.field("c", e.c);
+  io.field("d", e.d);
+}
+
+void describe(artifact::Io& io, BundleTile& t) {
+  io.field("x", t.x);
+  io.field("y", t.y);
+  io.field("total", t.total);
+  io.field("dropped", t.dropped);
+  io.field("events", t.events);
+}
+
+void describe(artifact::Io& io, Heatmap& h) {
+  io.field("name", h.name);
+  io.field("width", h.width);
+  io.field("height", h.height);
+  io.field("cells", h.cells);
+}
+
+void describe(artifact::Io& io, BundleFault& f) {
+  io.field("cycle", f.cycle);
+  io.field("x", f.x);
+  io.field("y", f.y);
+  io.field("dir", f.dir, wse::to_string, wse::kNumDirs); // Ramp: not a link
+  io.field("kind", f.kind);
+}
+
+void describe(artifact::Io& io, Bundle& b) {
+  io.field("schema", b.schema);
+  io.object("anomaly", [&](artifact::Io& a) {
+    a.field("kind", b.anomaly_kind);
+    a.field("cycle", b.anomaly_cycle);
+    a.field("detail", b.anomaly_detail);
+  });
+  io.field("program", b.program);
+  io.object("fabric", b.has_fabric, [&](artifact::Io& f) {
+    f.field("width", b.width);
+    f.field("height", b.height);
+    f.field("cycles", b.cycles);
+    f.field("link_transfers", b.link_transfers);
+    f.field("threads", b.threads);
+  });
+  io.object("stop", b.has_stop, [&](artifact::Io& s) {
+    s.field("reason", b.stop_reason);
+    s.field("cycles", b.stop_cycles);
+    s.field("deadlock", b.deadlock);
+    s.field("stalled_cycles", b.stalled_cycles);
+    s.field("blocked_tiles", b.blocked_tiles);
+    s.field("report", b.stop_report);
+  });
+  // The wait-for graph, heatmaps and fault summary are read off the
+  // fabric, so they share the fabric block's presence.
+  if (b.has_fabric) {
+    io.object("wait_for", [&](artifact::Io& w) {
+      w.field("edges", b.wait_edges);
+      w.field("cycles", b.wait_cycles);
+      w.field("terminals", b.wait_terminals);
+      w.field("blocked", b.wait_blocked);
+    });
   }
-  w.end_array();
+  io.object("flight", b.has_flight, [&](artifact::Io& f) {
+    f.field("depth", b.flight_depth);
+    f.field("tiles", b.tiles);
+  });
+  if (b.has_fabric) io.field("heatmaps", b.heatmaps);
+  io.raw("profiler", b.profiler_json);
+  if (io.present(b.has_scalars, "scalars")) {
+    io.field("scalars", b.scalars);
+    io.field("scalars_dropped", b.scalars_dropped);
+  }
+  io.object("timeseries", b.has_timeseries, [&](artifact::Io& t) {
+    t.field("sample_cycles", b.ts_sample_cycles);
+    t.field("frames_total", b.ts_frames_total);
+    t.field("frames", b.ts_frames);
+  });
+  if (b.has_fabric) {
+    io.object("faults", [&](artifact::Io& f) {
+      f.field("total", b.fault_total);
+      f.field("wavelets_dropped", b.fault_stats.wavelets_dropped);
+      f.field("wavelets_corrupted", b.fault_stats.wavelets_corrupted);
+      f.field("router_stall_cycles", b.fault_stats.router_stall_cycles);
+      f.field("dead_tile_cycles", b.fault_stats.dead_tile_cycles);
+      f.field("log_dropped", b.fault_log_dropped);
+      f.field("log", b.fault_log);
+    });
+  }
 }
 
-} // namespace
-
-std::string build_postmortem_json(const AnomalyInfo& anomaly,
-                                  const PostmortemInputs& in) {
-  json::Writer w;
-  w.begin_object();
-  w.key("schema").value(kPostmortemSchema);
-
-  w.key("anomaly").begin_object();
-  w.key("kind").value(to_string(anomaly.kind));
-  w.key("cycle").value(anomaly.cycle);
-  w.key("detail").value(anomaly.detail);
-  w.end_object();
-
-  w.key("program").value(in.program);
+Bundle snapshot_bundle(const AnomalyInfo& anomaly, const PostmortemInputs& in) {
+  Bundle b;
+  b.schema = kPostmortemSchema;
+  b.anomaly_kind = to_string(anomaly.kind);
+  b.anomaly_cycle = anomaly.cycle;
+  b.anomaly_detail = anomaly.detail;
+  b.program = in.program;
 
   if (in.fabric != nullptr) {
     const wse::Fabric& f = *in.fabric;
-    w.key("fabric").begin_object();
-    w.key("width").value(f.width());
-    w.key("height").value(f.height());
-    w.key("cycles").value(f.stats().cycles);
-    w.key("link_transfers").value(f.stats().link_transfers);
-    w.key("threads").value(f.threads());
-    w.end_object();
+    b.has_fabric = true;
+    b.width = f.width();
+    b.height = f.height();
+    b.cycles = f.stats().cycles;
+    b.link_transfers = f.stats().link_transfers;
+    b.threads = f.threads();
+
+    WaitForGraph g = build_wait_for_graph(f);
+    b.wait_edges = std::move(g.edges);
+    for (const WaitForCycle& c : g.cycles) b.wait_cycles.push_back(c.name);
+    b.wait_terminals = std::move(g.terminals);
+    b.wait_blocked = std::move(g.blocked);
+
+    const FabricHeatmaps maps = collect_heatmaps(f);
+    for (const Heatmap* h : maps.all()) b.heatmaps.push_back(*h);
+    if (in.profiler != nullptr) {
+      for (Heatmap& h : profiler_heatmaps(*in.profiler)) {
+        b.heatmaps.push_back(std::move(h));
+      }
+    }
+
+    b.fault_stats = f.fault_stats();
+    b.fault_total = b.fault_stats.total();
+    b.fault_log_dropped = f.fault_log_dropped();
+    for (const wse::FaultEvent& ev : f.fault_log()) {
+      b.fault_log.push_back({ev.cycle, ev.x, ev.y, ev.dir, ev.kind});
+    }
   }
 
   if (in.stop != nullptr) {
     const wse::StopInfo& s = *in.stop;
-    w.key("stop").begin_object();
-    w.key("reason").value(wse::StopInfo::to_string(s.reason));
-    w.key("cycles").value(s.cycles);
-    w.key("deadlock").value(s.deadlock);
-    w.key("stalled_cycles").value(s.stalled_cycles);
-    emit_tile_pair_array(w, "blocked_tiles", s.blocked_tiles);
-    w.key("report").value(s.report);
-    w.end_object();
-  }
-
-  if (in.fabric != nullptr) {
-    const WaitForGraph g = build_wait_for_graph(*in.fabric);
-    w.key("wait_for").begin_object();
-    w.key("edges").begin_array();
-    for (const WaitForEdge& e : g.edges) {
-      w.begin_object();
-      w.key("from").begin_array().value(e.from_x).value(e.from_y).end_array();
-      w.key("to").begin_array().value(e.to_x).value(e.to_y).end_array();
-      w.key("color").value(e.color);
-      w.key("why").value(e.why);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("cycles").begin_array();
-    for (const WaitForCycle& c : g.cycles) w.value(c.name);
-    w.end_array();
-    emit_tile_pair_array(w, "terminals", g.terminals);
-    w.key("blocked").begin_array();
-    for (const auto& t : g.blocked) {
-      w.begin_object();
-      w.key("x").value(t.x);
-      w.key("y").value(t.y);
-      w.key("task").value(t.task);
-      w.key("state").value(t.state);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
+    b.has_stop = true;
+    b.stop_reason = wse::StopInfo::to_string(s.reason);
+    b.stop_cycles = s.cycles;
+    b.deadlock = s.deadlock;
+    b.stalled_cycles = s.stalled_cycles;
+    b.blocked_tiles = s.blocked_tiles;
+    b.stop_report = s.report;
   }
 
   if (in.recorder != nullptr) {
     const FlightRecorder& rec = *in.recorder;
-    w.key("flight").begin_object();
-    w.key("depth").value(static_cast<std::uint64_t>(rec.depth()));
-    w.key("tiles").begin_array();
+    b.has_flight = true;
+    b.flight_depth = rec.depth();
     for (int y = 0; y < rec.height(); ++y) {
       for (int x = 0; x < rec.width(); ++x) {
         if (rec.total_events(x, y) == 0) continue;
-        w.begin_object();
-        w.key("x").value(x);
-        w.key("y").value(y);
-        w.key("total").value(rec.total_events(x, y));
-        w.key("dropped").value(rec.dropped_events(x, y));
-        w.key("events").begin_array();
+        BundleTile& t = b.tiles.emplace_back();
+        t.x = x;
+        t.y = y;
+        t.total = rec.total_events(x, y);
+        t.dropped = rec.dropped_events(x, y);
         for (const FlightEvent& ev : rec.events(x, y)) {
-          w.begin_object();
-          w.key("cycle").value(ev.cycle);
-          w.key("kind").value(to_string(ev.kind));
-          w.key("a").value(ev.a);
-          w.key("b").value(ev.b);
-          w.key("c").value(ev.c);
-          w.key("d").value(ev.d);
-          w.end_object();
+          t.events.push_back(
+              {ev.cycle, to_string(ev.kind), ev.a, ev.b, ev.c, ev.d});
         }
-        w.end_array();
-        w.end_object();
       }
     }
-    w.end_array();
-    w.end_object();
   }
 
-  if (in.fabric != nullptr) {
-    const FabricHeatmaps maps = collect_heatmaps(*in.fabric);
-    w.key("heatmaps").begin_array();
-    for (const Heatmap* h : maps.all()) emit_heatmap(w, *h);
-    if (in.profiler != nullptr) {
-      for (const Heatmap& h : profiler_heatmaps(*in.profiler)) {
-        emit_heatmap(w, h);
-      }
-    }
-    w.end_array();
-  }
-
-  if (in.profiler != nullptr) {
-    w.key("profiler").raw(in.profiler->to_json());
-  }
+  if (in.profiler != nullptr) b.profiler_json = in.profiler->to_json();
 
   if (in.scalars != nullptr) {
-    w.key("scalars").begin_array();
-    for (const ScalarSample& s : in.scalars->samples()) {
-      w.begin_object();
-      w.key("iteration").value(s.iteration);
-      w.key("name").value(s.name);
-      w.key("value").value(s.value);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("scalars_dropped").value(in.scalars->dropped());
+    b.has_scalars = true;
+    b.scalars = in.scalars->samples();
+    b.scalars_dropped = in.scalars->dropped();
   }
 
   if (in.timeseries != nullptr) {
     // The lead-up trajectory: the last frames of the active time series.
     // The full series lives in its own artifact (docs/TIMESERIES.md).
     const TimeSeriesSampler& ts = *in.timeseries;
-    w.key("timeseries").begin_object();
-    w.key("sample_cycles").value(ts.interval());
-    w.key("frames_total")
-        .value(static_cast<std::uint64_t>(ts.frames().size()) +
-               ts.frames_dropped());
-    w.key("frames").begin_array();
+    b.has_timeseries = true;
+    b.ts_sample_cycles = ts.interval();
+    b.ts_frames_total = ts.frames().size() + ts.frames_dropped();
     const std::size_t n = ts.frames().size();
     const std::size_t start =
         n > kPostmortemTimeseriesTail ? n - kPostmortemTimeseriesTail : 0;
-    for (std::size_t i = start; i < n; ++i) {
-      emit_timeseries_frame(w, ts.frames()[i]);
-    }
-    w.end_array();
-    w.end_object();
+    b.ts_frames.assign(ts.frames().begin() + static_cast<std::ptrdiff_t>(start),
+                       ts.frames().end());
   }
-
-  if (in.fabric != nullptr) {
-    const wse::FaultStats& fs = in.fabric->fault_stats();
-    w.key("faults").begin_object();
-    w.key("total").value(fs.total());
-    w.key("wavelets_dropped").value(fs.wavelets_dropped);
-    w.key("wavelets_corrupted").value(fs.wavelets_corrupted);
-    w.key("router_stall_cycles").value(fs.router_stall_cycles);
-    w.key("dead_tile_cycles").value(fs.dead_tile_cycles);
-    w.key("log_dropped")
-        .value(static_cast<std::uint64_t>(in.fabric->fault_log_dropped()));
-    w.key("log").begin_array();
-    for (const wse::FaultEvent& ev : in.fabric->fault_log()) {
-      w.begin_object();
-      w.key("cycle").value(ev.cycle);
-      w.key("x").value(ev.x);
-      w.key("y").value(ev.y);
-      w.key("dir").value(wse::to_string(ev.dir));
-      w.key("kind").value(static_cast<int>(ev.kind));
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-
-  w.end_object();
-  return w.str();
+  return b;
 }
 
 bool write_postmortem(const std::string& dir, const AnomalyInfo& anomaly,
@@ -519,7 +519,7 @@ bool write_postmortem(const std::string& dir, const AnomalyInfo& anomaly,
   const std::string stem =
       claim_output_stem(dir + "/postmortem_" + to_string(anomaly.kind));
   const std::string path = stem + ".json";
-  if (!write_text_file(path, build_postmortem_json(anomaly, in), error)) {
+  if (!artifact::write(path, snapshot_bundle(anomaly, in), error)) {
     return false;
   }
   if (path_out != nullptr) *path_out = path;
@@ -555,6 +555,42 @@ std::size_t flightrec_depth() {
 }
 
 // --- env-driven forensic attachment -------------------------------------
+
+namespace {
+
+/// `path` without its ".json" extension.
+[[nodiscard]] std::string json_stem(const std::string& path) {
+  constexpr std::string_view kExt = ".json";
+  return path.size() > kExt.size() && path.ends_with(kExt)
+             ? path.substr(0, path.size() - kExt.size())
+             : path;
+}
+
+/// Where a run artifact goes: `path` (its WSS_*_OUT knob) or else
+/// `<ledger_dir>/<run_id><suffix>`, "" when neither is configured. The
+/// stem is claimed, so two fabrics flushing the same path in one process
+/// get disjoint files instead of clobbering.
+[[nodiscard]] std::string run_artifact_path(std::string path,
+                                            const std::string& run_id,
+                                            const char* suffix) {
+  if (path.empty() && !ledger_dir().empty() && !run_id.empty()) {
+    path = ledger_dir() + "/" + run_id + suffix;
+  }
+  return path.empty() ? path : claim_output_stem(json_stem(path)) + ".json";
+}
+
+/// Write `art` to `path` and return the path; "" (with a warning on
+/// stderr) on failure — forensics must not fail a finished run.
+template <class T>
+std::string write_or_warn(const std::string& path, const T& art,
+                          const char* what) {
+  std::string error;
+  if (artifact::write(path, art, &error)) return path;
+  std::fprintf(stderr, "wss: %s write failed: %s\n", what, error.c_str());
+  return {};
+}
+
+} // namespace
 
 RunForensics::RunForensics(wse::Fabric& fabric, std::string program)
     : fabric_(fabric), program_(std::move(program)) {
@@ -615,27 +651,13 @@ void RunForensics::finalize(const std::string& outcome, bool deadlock,
   fabric_.sample_now();
 
   TimeSeriesSampler* ts = fabric_.sampler();
+  TimeSeries series; // what the series artifact and the health engine read
   std::string ts_path;
   if (ts != nullptr) {
-    ts_path = timeseries_out();
-    if (ts_path.empty() && !ledger_dir().empty() && !run_id_.empty()) {
-      ts_path = ledger_dir() + "/" + run_id_ + ".timeseries.json";
-    }
+    series = snapshot_timeseries(*ts, scalars_);
+    ts_path = run_artifact_path(timeseries_out(), run_id_, ".timeseries.json");
     if (!ts_path.empty()) {
-      // Claim the stem so two fabrics flushing the same WSS_TIMESERIES_OUT
-      // in one process get disjoint files instead of clobbering.
-      std::string stem = ts_path;
-      constexpr const char* kExt = ".json";
-      if (stem.size() > 5 && stem.compare(stem.size() - 5, 5, kExt) == 0) {
-        stem.resize(stem.size() - 5);
-      }
-      ts_path = claim_output_stem(stem) + kExt;
-      std::string error;
-      if (!write_timeseries(ts_path, *ts, scalars_, &error)) {
-        std::fprintf(stderr, "wss: time-series write failed: %s\n",
-                     error.c_str());
-        ts_path.clear();
-      }
+      ts_path = write_or_warn(ts_path, series, "time-series");
     }
   }
 
@@ -649,7 +671,7 @@ void RunForensics::finalize(const std::string& outcome, bool deadlock,
   std::string health_bundle_path;
   if (ts != nullptr && health_enabled()) {
     const HealthConfig cfg = health_config();
-    alerts = evaluate_health(snapshot_timeseries(*ts, scalars_), cfg);
+    alerts = evaluate_health(series, cfg);
     if (!alerts.empty()) {
       global_registry().counter("health.alerts").add(alerts.size());
       if (any_critical(alerts)) {
@@ -664,18 +686,8 @@ void RunForensics::finalize(const std::string& outcome, bool deadlock,
         af.run_id = run_id_;
         af.tol_pct = cfg.tol_pct;
         af.alerts = alerts;
-        std::string stem = ts_path;
-        constexpr const char* kExt = ".json";
-        if (stem.size() > 5 && stem.compare(stem.size() - 5, 5, kExt) == 0) {
-          stem.resize(stem.size() - 5);
-        }
-        alerts_path = stem + ".alerts.json";
-        std::string error;
-        if (!write_alerts(alerts_path, af, &error)) {
-          std::fprintf(stderr, "wss: alerts write failed: %s\n",
-                       error.c_str());
-          alerts_path.clear();
-        }
+        alerts_path =
+            write_or_warn(json_stem(ts_path) + ".alerts.json", af, "alerts");
       }
       // Critical alerts auto-capture a postmortem bundle through the
       // existing path; the anomaly detail names the rule and the alerts
@@ -728,23 +740,10 @@ void RunForensics::finalize(const std::string& outcome, bool deadlock,
     for (const NetFlowTotals& f : netflows.flows) {
       global_registry().counter("netflow." + f.flow + ".words").add(f.words);
     }
-    netflows_path = netflows_out();
-    if (netflows_path.empty() && !ledger_dir().empty() && !run_id_.empty()) {
-      netflows_path = ledger_dir() + "/" + run_id_ + ".netflows.json";
-    }
+    netflows_path =
+        run_artifact_path(netflows_out(), run_id_, ".netflows.json");
     if (!netflows_path.empty()) {
-      std::string stem = netflows_path;
-      constexpr const char* kExt = ".json";
-      if (stem.size() > 5 && stem.compare(stem.size() - 5, 5, kExt) == 0) {
-        stem.resize(stem.size() - 5);
-      }
-      netflows_path = claim_output_stem(stem) + kExt;
-      std::string error;
-      if (!write_netflows(netflows_path, netflows, &error)) {
-        std::fprintf(stderr, "wss: netflows write failed: %s\n",
-                     error.c_str());
-        netflows_path.clear();
-      }
+      netflows_path = write_or_warn(netflows_path, netflows, "netflows");
     }
   }
 
@@ -854,50 +853,7 @@ void RunForensics::finished(const wse::StopInfo* stop) {
            stop != nullptr && stop->deadlock, bundle_path);
 }
 
-// --- bundle loading -----------------------------------------------------
-
-namespace {
-
-using jsonparse::Value;
-
-[[nodiscard]] std::string get_string(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_string() ? m->string : std::string{};
-}
-[[nodiscard]] double get_number(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_number() ? m->number : 0.0;
-}
-[[nodiscard]] std::uint64_t get_u64(const Value* v, const char* key) {
-  return static_cast<std::uint64_t>(get_number(v, key));
-}
-[[nodiscard]] int get_int(const Value* v, const char* key) {
-  return static_cast<int>(get_number(v, key));
-}
-[[nodiscard]] std::int64_t get_i64(const Value* v, const char* key) {
-  return static_cast<std::int64_t>(get_number(v, key));
-}
-[[nodiscard]] bool get_bool(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->kind == jsonparse::Kind::Bool && m->boolean;
-}
-
-[[nodiscard]] std::vector<std::pair<int, int>> get_tile_pairs(
-    const Value* v, const char* key) {
-  std::vector<std::pair<int, int>> out;
-  const Value* arr = v != nullptr ? v->find(key) : nullptr;
-  if (arr == nullptr || !arr->is_array()) return out;
-  for (const Value& e : *arr->array) {
-    if (!e.is_array() || e.array->size() != 2) continue;
-    const Value& x = (*e.array)[0];
-    const Value& y = (*e.array)[1];
-    if (!x.is_number() || !y.is_number()) continue;
-    out.emplace_back(static_cast<int>(x.number), static_cast<int>(y.number));
-  }
-  return out;
-}
-
-} // namespace
+// --- bundle loading / inspection ---------------------------------------
 
 std::string BundleEvent::summary() const {
   FlightEventKind k;
@@ -917,155 +873,7 @@ std::string BundleEvent::summary() const {
 }
 
 bool load_bundle(const std::string& path, Bundle* out, std::string* error) {
-  const auto set_error = [&](const std::string& why) {
-    if (error != nullptr) *error = path + ": " + why;
-    return false;
-  };
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error("cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return set_error("read error");
-  const std::string text = buf.str();
-
-  const jsonparse::ParseResult parsed = jsonparse::parse(text);
-  if (!parsed.ok()) return set_error("JSON error: " + parsed.error);
-  const Value& root = *parsed.value;
-  if (!root.is_object()) return set_error("top level is not an object");
-
-  Bundle b;
-  b.schema = get_string(&root, "schema");
-  if (b.schema != kPostmortemSchema) {
-    return set_error("schema mismatch: got '" + b.schema + "', want '" +
-                     kPostmortemSchema + "'");
-  }
-
-  const Value* anomaly = root.find("anomaly");
-  b.anomaly_kind = get_string(anomaly, "kind");
-  b.anomaly_cycle = get_u64(anomaly, "cycle");
-  b.anomaly_detail = get_string(anomaly, "detail");
-  b.program = get_string(&root, "program");
-
-  if (const Value* fabric = root.find("fabric"); fabric != nullptr) {
-    b.width = get_int(fabric, "width");
-    b.height = get_int(fabric, "height");
-    b.cycles = get_u64(fabric, "cycles");
-    b.threads = get_int(fabric, "threads");
-  }
-
-  if (const Value* stop = root.find("stop"); stop != nullptr) {
-    b.stop_reason = get_string(stop, "reason");
-    b.deadlock = get_bool(stop, "deadlock");
-    b.stalled_cycles = get_u64(stop, "stalled_cycles");
-    b.blocked_tiles = get_tile_pairs(stop, "blocked_tiles");
-    b.stop_report = get_string(stop, "report");
-  }
-
-  if (const Value* wf = root.find("wait_for"); wf != nullptr) {
-    if (const Value* edges = wf->find("edges");
-        edges != nullptr && edges->is_array()) {
-      for (const Value& e : *edges->array) {
-        WaitForEdge edge;
-        const Value* from = e.find("from");
-        const Value* to = e.find("to");
-        if (from != nullptr && from->is_array() && from->array->size() == 2) {
-          edge.from_x = static_cast<int>((*from->array)[0].number);
-          edge.from_y = static_cast<int>((*from->array)[1].number);
-        }
-        if (to != nullptr && to->is_array() && to->array->size() == 2) {
-          edge.to_x = static_cast<int>((*to->array)[0].number);
-          edge.to_y = static_cast<int>((*to->array)[1].number);
-        }
-        edge.color = get_int(&e, "color");
-        edge.why = get_string(&e, "why");
-        b.wait_edges.push_back(std::move(edge));
-      }
-    }
-    if (const Value* cycles = wf->find("cycles");
-        cycles != nullptr && cycles->is_array()) {
-      for (const Value& c : *cycles->array) {
-        if (c.is_string()) b.wait_cycles.push_back(c.string);
-      }
-    }
-    b.wait_terminals = get_tile_pairs(wf, "terminals");
-  }
-
-  if (const Value* flight = root.find("flight"); flight != nullptr) {
-    b.flight_depth = get_u64(flight, "depth");
-    if (const Value* tiles = flight->find("tiles");
-        tiles != nullptr && tiles->is_array()) {
-      for (const Value& t : *tiles->array) {
-        BundleTile tile;
-        tile.x = get_int(&t, "x");
-        tile.y = get_int(&t, "y");
-        tile.total = get_u64(&t, "total");
-        tile.dropped = get_u64(&t, "dropped");
-        if (const Value* events = t.find("events");
-            events != nullptr && events->is_array()) {
-          for (const Value& e : *events->array) {
-            BundleEvent ev;
-            ev.cycle = get_u64(&e, "cycle");
-            ev.kind = get_string(&e, "kind");
-            ev.a = get_i64(&e, "a");
-            ev.b = get_i64(&e, "b");
-            ev.c = get_i64(&e, "c");
-            ev.d = get_i64(&e, "d");
-            tile.events.push_back(std::move(ev));
-          }
-        }
-        b.tiles.push_back(std::move(tile));
-      }
-    }
-  }
-
-  if (const Value* maps = root.find("heatmaps");
-      maps != nullptr && maps->is_array()) {
-    for (const Value& m : *maps->array) {
-      Heatmap h;
-      h.name = get_string(&m, "name");
-      h.width = get_int(&m, "width");
-      h.height = get_int(&m, "height");
-      if (const Value* cells = m.find("cells");
-          cells != nullptr && cells->is_array()) {
-        h.cells.reserve(cells->array->size());
-        for (const Value& c : *cells->array) {
-          h.cells.push_back(c.is_number() ? c.number : 0.0);
-        }
-      }
-      b.heatmaps.push_back(std::move(h));
-    }
-  }
-
-  if (const Value* scalars = root.find("scalars");
-      scalars != nullptr && scalars->is_array()) {
-    for (const Value& s : *scalars->array) {
-      ScalarSample sample;
-      sample.iteration = get_u64(&s, "iteration");
-      sample.name = get_string(&s, "name");
-      sample.value = get_number(&s, "value");
-      b.scalars.push_back(std::move(sample));
-    }
-  }
-
-  if (const Value* ts = root.find("timeseries"); ts != nullptr) {
-    b.ts_sample_cycles = get_u64(ts, "sample_cycles");
-    b.ts_frames_total = get_u64(ts, "frames_total");
-    if (const Value* frames = ts->find("frames");
-        frames != nullptr && frames->is_array()) {
-      for (const Value& fv : *frames->array) {
-        TimeSeriesFrame f;
-        if (parse_timeseries_frame(fv, &f)) b.ts_frames.push_back(f);
-      }
-    }
-  }
-
-  if (const Value* faults = root.find("faults"); faults != nullptr) {
-    b.fault_total = get_u64(faults, "total");
-  }
-
-  *out = std::move(b);
-  return true;
+  return artifact::read(path, kPostmortemSchema, out, error);
 }
 
 // --- pretty-printing ----------------------------------------------------
@@ -1215,169 +1023,116 @@ std::string pretty_bundle(const Bundle& bundle, std::size_t last_k) {
 // --- diffing ------------------------------------------------------------
 
 Divergence first_divergence(const Bundle& a, const Bundle& b) {
+  // Each tile's event stream is one sequence; the earliest divergence
+  // over all tiles wins, ties broken by (y, x).
+  static const std::vector<BundleEvent> kNoEvents;
+  std::map<std::pair<int, int>, std::pair<const BundleTile*, const BundleTile*>>
+      by_yx;
+  for (const BundleTile& t : a.tiles) by_yx[{t.y, t.x}].first = &t;
+  for (const BundleTile& t : b.tiles) by_yx[{t.y, t.x}].second = &t;
   Divergence best;
-  if (a.program != b.program) {
-    best.note = "warning: program mismatch ('" + a.program + "' vs '" +
-                b.program + "') — divergence below may be meaningless";
+  best.noun = "event";
+  best.streams = "recorded event streams";
+  for (const auto& [yx, tiles] : by_yx) {
+    const auto& [ta, tb] = tiles;
+    Divergence d = first_divergence_in(
+        "event", "recorded event streams",
+        ta != nullptr ? ta->events : kNoEvents,
+        tb != nullptr ? tb->events : kNoEvents, &BundleEvent::summary);
+    if (!d.found || (best.found && d.cycle >= best.cycle)) continue;
+    best = std::move(d);
+    best.has_tile = true;
+    best.y = yx.first;
+    best.x = yx.second;
   }
-
-  std::map<std::pair<int, int>, const BundleTile*> b_tiles;
-  for (const BundleTile& t : b.tiles) b_tiles[{t.x, t.y}] = &t;
-  std::set<std::pair<int, int>> coords;
-  for (const BundleTile& t : a.tiles) coords.insert({t.x, t.y});
-  for (const BundleTile& t : b.tiles) coords.insert({t.x, t.y});
-
-  std::map<std::pair<int, int>, const BundleTile*> a_tiles;
-  for (const BundleTile& t : a.tiles) a_tiles[{t.x, t.y}] = &t;
-
-  bool have = false;
-  std::uint64_t best_cycle = 0;
-  std::pair<int, int> best_tile{0, 0}; ///< (y, x) for ordering
-
-  for (const auto& [x, y] : coords) {
-    const auto ai = a_tiles.find({x, y});
-    const auto bi = b_tiles.find({x, y});
-    const BundleTile* ta = ai != a_tiles.end() ? ai->second : nullptr;
-    const BundleTile* tb = bi != b_tiles.end() ? bi->second : nullptr;
-    const std::size_t na = ta != nullptr ? ta->events.size() : 0;
-    const std::size_t nb = tb != nullptr ? tb->events.size() : 0;
-
-    // Rings may have wrapped differently; compare only from the first
-    // retained event both sides share nothing about — a straight pairwise
-    // walk is the honest comparison when both rings are complete, and a
-    // conservative earliest-difference when one has dropped events.
-    const std::size_t n = std::min(na, nb);
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-      if (!(ta->events[i] == tb->events[i])) break;
-    }
-    if (i == n && na == nb) continue; // identical streams
-
-    const BundleEvent* ea = i < na ? &ta->events[i] : nullptr;
-    const BundleEvent* eb = i < nb ? &tb->events[i] : nullptr;
-    std::uint64_t cycle = 0;
-    if (ea != nullptr && eb != nullptr) {
-      cycle = std::min(ea->cycle, eb->cycle);
-    } else if (ea != nullptr) {
-      cycle = ea->cycle;
-    } else if (eb != nullptr) {
-      cycle = eb->cycle;
-    }
-
-    const std::pair<int, int> yx{y, x};
-    if (!have || cycle < best_cycle ||
-        (cycle == best_cycle && yx < best_tile)) {
-      have = true;
-      best_cycle = cycle;
-      best_tile = yx;
-      best.found = true;
-      best.cycle = cycle;
-      best.x = x;
-      best.y = y;
-      best.a_event = ea != nullptr ? ea->summary() : "-";
-      best.b_event = eb != nullptr ? eb->summary() : "-";
-    }
-  }
+  best.note = program_mismatch(a.program, b.program);
   return best;
-}
-
-std::string pretty_divergence(const Divergence& d) {
-  std::ostringstream out;
-  if (!d.note.empty()) out << d.note << "\n";
-  if (!d.found) {
-    out << "no divergence: recorded event streams are identical\n";
-    return out.str();
-  }
-  out << "first divergence at cycle " << d.cycle << ", tile "
-      << tile_name(d.x, d.y) << ":\n";
-  out << "  A: " << d.a_event << "\n";
-  out << "  B: " << d.b_event << "\n";
-  return out.str();
 }
 
 // --- self-check ---------------------------------------------------------
 
 bool self_check_bundle(const Bundle& bundle, std::string* error) {
-  const auto fail_with = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+  using artifact::fail_with;
+  if (!artifact::check_schema(bundle.schema, kPostmortemSchema, error)) {
     return false;
-  };
-  if (bundle.schema != kPostmortemSchema) {
-    return fail_with("schema mismatch: '" + bundle.schema + "'");
   }
   if (!known_anomaly_kind(bundle.anomaly_kind)) {
-    return fail_with("unknown anomaly kind: '" + bundle.anomaly_kind + "'");
+    return fail_with(error,
+                     "unknown anomaly kind: '" + bundle.anomaly_kind + "'");
   }
   const bool has_fabric = bundle.width > 0 && bundle.height > 0;
   if ((!bundle.tiles.empty() || !bundle.heatmaps.empty()) && !has_fabric) {
-    return fail_with("tile/heatmap data without fabric dimensions");
+    return fail_with(error, "tile/heatmap data without fabric dimensions");
   }
   const auto in_bounds = [&](int x, int y) {
     return x >= 0 && x < bundle.width && y >= 0 && y < bundle.height;
   };
   for (const BundleTile& t : bundle.tiles) {
     if (!in_bounds(t.x, t.y)) {
-      return fail_with("flight tile " + tile_name(t.x, t.y) +
+      return fail_with(error, "flight tile " + tile_name(t.x, t.y) +
                        " out of bounds");
     }
     if (t.events.size() > bundle.flight_depth) {
-      return fail_with("flight tile " + tile_name(t.x, t.y) +
+      return fail_with(error, "flight tile " + tile_name(t.x, t.y) +
                        " holds more events than the ring depth");
     }
     if (static_cast<std::uint64_t>(t.events.size()) + t.dropped != t.total) {
-      return fail_with("flight tile " + tile_name(t.x, t.y) +
+      return fail_with(error, "flight tile " + tile_name(t.x, t.y) +
                        " events+dropped != total");
     }
     for (std::size_t i = 1; i < t.events.size(); ++i) {
       if (t.events[i].cycle < t.events[i - 1].cycle) {
-        return fail_with("flight tile " + tile_name(t.x, t.y) +
+        return fail_with(error, "flight tile " + tile_name(t.x, t.y) +
                          " events not chronological");
       }
     }
     for (const BundleEvent& e : t.events) {
       FlightEventKind k;
       if (!flight_event_kind_from_string(e.kind, &k)) {
-        return fail_with("unknown flight event kind: '" + e.kind + "'");
+        return fail_with(error, "unknown flight event kind: '" + e.kind + "'");
       }
     }
   }
   for (const Heatmap& h : bundle.heatmaps) {
     if (h.width != bundle.width || h.height != bundle.height) {
-      return fail_with("heatmap '" + h.name + "' dimensions mismatch fabric");
+      return fail_with(error,
+                       "heatmap '" + h.name + "' dimensions mismatch fabric");
     }
     if (h.cells.size() != static_cast<std::size_t>(h.width) *
                               static_cast<std::size_t>(h.height)) {
-      return fail_with("heatmap '" + h.name + "' cell count mismatch");
+      return fail_with(error, "heatmap '" + h.name + "' cell count mismatch");
     }
   }
   for (const WaitForEdge& e : bundle.wait_edges) {
     if (has_fabric &&
         (!in_bounds(e.from_x, e.from_y) || !in_bounds(e.to_x, e.to_y))) {
-      return fail_with("wait-for edge endpoint out of bounds");
+      return fail_with(error, "wait-for edge endpoint out of bounds");
     }
     if (e.color < -1 || e.color >= wse::kNumColors) {
-      return fail_with("wait-for edge color out of range");
+      return fail_with(error, "wait-for edge color out of range");
     }
   }
   for (const auto& [x, y] : bundle.blocked_tiles) {
     if (has_fabric && !in_bounds(x, y)) {
-      return fail_with("blocked tile " + tile_name(x, y) + " out of bounds");
+      return fail_with(error,
+                       "blocked tile " + tile_name(x, y) + " out of bounds");
     }
   }
   if (bundle.ts_frames.size() > kPostmortemTimeseriesTail) {
-    return fail_with("time-series tail exceeds the retention cap");
+    return fail_with(error, "time-series tail exceeds the retention cap");
   }
   if (bundle.ts_frames.size() >
       static_cast<std::size_t>(bundle.ts_frames_total)) {
-    return fail_with("time-series tail holds more frames than frames_total");
+    return fail_with(error,
+                     "time-series tail holds more frames than frames_total");
   }
   for (std::size_t i = 0; i < bundle.ts_frames.size(); ++i) {
     const TimeSeriesFrame& f = bundle.ts_frames[i];
     if (f.window_cycles == 0) {
-      return fail_with("time-series frame with zero-cycle window");
+      return fail_with(error, "time-series frame with zero-cycle window");
     }
     if (i > 0 && f.cycle <= bundle.ts_frames[i - 1].cycle) {
-      return fail_with("time-series frames not chronological");
+      return fail_with(error, "time-series frames not chronological");
     }
   }
   return true;

@@ -13,8 +13,8 @@
 //   * solver scalar history (rho/alpha/omega/residual per iteration),
 //   * the fault-injection stats and event log when a plan was attached.
 //
-// Bundles are written under $WSS_POSTMORTEM_DIR (or an explicit dir),
-// emitted with telemetry/json.hpp and loaded back with json_parse.hpp —
+// Bundles are written under $WSS_POSTMORTEM_DIR (or an explicit dir) and
+// loaded back through one field list (telemetry/artifact.hpp) —
 // `wss_inspect` pretty-prints one bundle or diffs two from runs of the
 // same program to localize the first divergence (earliest differing
 // cycle/tile/event triple), e.g. a fault-injected run against its clean
@@ -29,6 +29,7 @@
 #include "telemetry/heatmap.hpp"
 #include "telemetry/netmon.hpp"
 #include "telemetry/timeseries.hpp"
+#include "wse/fault.hpp"
 
 namespace wss::wse {
 class Fabric;
@@ -65,12 +66,8 @@ struct AnomalyInfo {
 /// Bounded history of named solver scalars (rho, alpha, omega, residual,
 /// ...) per iteration — the "cycles leading up to the NaN" on the host
 /// side. Null-tolerant recording mirrors SolverProbe: pass a nullptr and
-/// every call is a pointer test.
-struct ScalarSample {
-  std::uint64_t iteration = 0;
-  std::string name;
-  double value = 0.0;
-};
+/// every call is a pointer test. A sample is the series' scalar record.
+using ScalarSample = TimeSeriesScalar;
 
 class ScalarHistory {
 public:
@@ -156,9 +153,11 @@ struct PostmortemInputs {
 /// anomaly; the full series lives in its own artifact).
 inline constexpr std::size_t kPostmortemTimeseriesTail = 32;
 
-/// Render the bundle JSON (telemetry/json.hpp emit).
-[[nodiscard]] std::string build_postmortem_json(const AnomalyInfo& anomaly,
-                                                const PostmortemInputs& in);
+struct Bundle;
+
+/// Snapshot the inputs into the bundle the writer emits.
+[[nodiscard]] Bundle snapshot_bundle(const AnomalyInfo& anomaly,
+                                     const PostmortemInputs& in);
 
 /// Write a bundle under `dir` (created if needed) as
 /// `<dir>/postmortem_<kind>[ _2, _3, ...].json` (claim_output_stem keeps
@@ -281,10 +280,7 @@ struct BundleEvent {
   std::string kind;
   std::int64_t a = 0, b = 0, c = 0, d = 0;
 
-  [[nodiscard]] bool operator==(const BundleEvent& o) const {
-    return cycle == o.cycle && kind == o.kind && a == o.a && b == o.b &&
-           c == o.c && d == o.d;
-  }
+  [[nodiscard]] bool operator==(const BundleEvent&) const = default;
   [[nodiscard]] std::string summary() const;
 };
 
@@ -295,17 +291,32 @@ struct BundleTile {
   std::vector<BundleEvent> events; ///< chronological
 };
 
+/// One fault-log entry of the bundle's fault summary.
+struct BundleFault {
+  std::uint64_t cycle = 0;
+  int x = 0, y = 0;
+  wse::Dir dir = wse::Dir::Ramp; ///< Ramp for non-link faults
+  wse::FaultKind kind{};
+};
+
+/// A loaded (or to-be-written) `wss.postmortem/1` bundle. The has_* flags
+/// record which optional blocks the file carries; the wait-for graph,
+/// heatmaps and fault summary ride with the fabric block.
 struct Bundle {
   std::string schema;
   std::string anomaly_kind;
   std::uint64_t anomaly_cycle = 0;
   std::string anomaly_detail;
   std::string program;
+  bool has_fabric = false;
   int width = 0, height = 0;
   std::uint64_t cycles = 0;
+  std::uint64_t link_transfers = 0;
   int threads = 0;
   // stop info (absent for host-side bundles)
+  bool has_stop = false;
   std::string stop_reason;
+  std::uint64_t stop_cycles = 0;
   bool deadlock = false;
   std::uint64_t stalled_cycles = 0;
   std::vector<std::pair<int, int>> blocked_tiles;
@@ -314,23 +325,33 @@ struct Bundle {
   std::vector<WaitForEdge> wait_edges;
   std::vector<std::string> wait_cycles; ///< rendered names
   std::vector<std::pair<int, int>> wait_terminals;
+  std::vector<WaitForGraph::TileState> wait_blocked;
   // flight rings
+  bool has_flight = false;
   std::uint64_t flight_depth = 0;
   std::vector<BundleTile> tiles;
   // heatmaps
   std::vector<Heatmap> heatmaps;
+  // the profiler's own JSON, verbatim ("" when no profiler was attached)
+  std::string profiler_json;
   // scalar history
+  bool has_scalars = false;
   std::vector<ScalarSample> scalars;
+  std::uint64_t scalars_dropped = 0;
   // time-series tail (empty when no sampler was attached)
+  bool has_timeseries = false;
   std::uint64_t ts_sample_cycles = 0;
   std::uint64_t ts_frames_total = 0; ///< frames the sampler held in all
   std::vector<TimeSeriesFrame> ts_frames; ///< last retained frames
   // fault summary (zero when no plan was attached)
   std::uint64_t fault_total = 0;
+  wse::FaultStats fault_stats;
+  std::uint64_t fault_log_dropped = 0;
+  std::vector<BundleFault> fault_log;
 };
 
 /// Parse a bundle file. Returns false + `*error` (with context) on
-/// unreadable files, JSON errors, or schema mismatch.
+/// unreadable files, JSON errors, schema mismatch, or a bad field.
 bool load_bundle(const std::string& path, Bundle* out,
                  std::string* error = nullptr);
 
@@ -341,20 +362,19 @@ bool load_bundle(const std::string& path, Bundle* out,
 
 /// First divergence between two bundles of the same program: the earliest
 /// (cycle, tile, event) at which the recorded streams differ.
-struct Divergence {
-  bool found = false;
-  std::uint64_t cycle = 0;
-  int x = 0, y = 0;
-  std::string a_event; ///< what bundle A recorded ("-" when absent)
-  std::string b_event; ///< what bundle B recorded
-  std::string note;    ///< e.g. program-mismatch warning
-};
-
 [[nodiscard]] Divergence first_divergence(const Bundle& a, const Bundle& b);
-[[nodiscard]] std::string pretty_divergence(const Divergence& d);
 
 /// Schema guard for CI: checks the schema tag and the structural
 /// invariants wss_inspect depends on. Returns false + `*error` on drift.
 bool self_check_bundle(const Bundle& bundle, std::string* error = nullptr);
+
+/// The wss.postmortem/1 field lists (telemetry/artifact.hpp).
+void describe(artifact::Io& io, WaitForEdge& e);
+void describe(artifact::Io& io, WaitForGraph::TileState& t);
+void describe(artifact::Io& io, BundleEvent& e);
+void describe(artifact::Io& io, BundleTile& t);
+void describe(artifact::Io& io, Heatmap& h);
+void describe(artifact::Io& io, BundleFault& f);
+void describe(artifact::Io& io, Bundle& b);
 
 } // namespace wss::telemetry

@@ -1,5 +1,6 @@
-// Time-series analysis: JSON emission/loading, the CI self-check, frame
-// diffing and terminal rendering (sparklines). The recording half lives in
+// Time-series analysis: the wss.timeseries/1 field lists (emitted and
+// loaded through telemetry/artifact.hpp), the CI self-check, frame diffing
+// and terminal rendering (sparklines). The recording half lives in
 // timeseries.hpp (header-only, included by the fabric); see
 // docs/TIMESERIES.md for the schema and the monitoring workflow.
 
@@ -7,13 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "common/env.hpp"
-#include "telemetry/io.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/json.hpp"
-#include "telemetry/json_parse.hpp"
 #include "telemetry/postmortem.hpp"
 
 namespace wss::telemetry {
@@ -26,129 +26,89 @@ std::string timeseries_out() {
   return env::parse_string("WSS_TIMESERIES_OUT");
 }
 
-// --- emission ------------------------------------------------------------
+// --- the wss.timeseries/1 field lists ----------------------------------
 
-void emit_timeseries_frame(json::Writer& w, const TimeSeriesFrame& f) {
-  w.begin_object();
-  w.key("cycle").value(f.cycle);
-  w.key("window").value(f.window_cycles);
-  w.key("link_transfers").value(f.link_transfers);
-  w.key("flits_forwarded").value(f.flits_forwarded);
-  w.key("words_sent").value(f.words_sent);
-  w.key("words_received").value(f.words_received);
-  w.key("instr").value(f.instr_cycles);
-  w.key("stall").value(f.stall_cycles);
-  w.key("idle").value(f.idle_cycles);
-  w.key("tasks").value(f.task_invocations);
-  w.key("faults").value(f.faults);
-  w.key("queued").value(f.router_queued_flits);
-  w.key("queue_peak").value(f.router_queue_peak);
-  w.key("fifo_hw").value(f.fifo_highwater);
-  w.key("ramp_hw").value(f.ramp_highwater);
-  w.key("iteration").value(f.max_iteration);
-  w.key("done_tiles").value(static_cast<std::uint64_t>(f.done_tiles));
-  w.key("phase_tiles").begin_array();
-  for (const std::uint32_t n : f.phase_tiles) {
-    w.value(static_cast<std::uint64_t>(n));
+void describe(artifact::Io& io, TimeSeriesFrame& f) {
+  io.field("cycle", f.cycle);
+  io.field("window", f.window_cycles);
+  io.field("link_transfers", f.link_transfers);
+  io.field("flits_forwarded", f.flits_forwarded);
+  io.field("words_sent", f.words_sent);
+  io.field("words_received", f.words_received);
+  io.field("instr", f.instr_cycles);
+  io.field("stall", f.stall_cycles);
+  io.field("idle", f.idle_cycles);
+  io.field("tasks", f.task_invocations);
+  io.field("faults", f.faults);
+  io.field("queued", f.router_queued_flits);
+  io.field("queue_peak", f.router_queue_peak);
+  io.field("fifo_hw", f.fifo_highwater);
+  io.field("ramp_hw", f.ramp_highwater);
+  io.field("iteration", f.max_iteration);
+  io.field("done_tiles", f.done_tiles);
+  io.field("phase_tiles", f.phase_tiles);
+  if (io.present(f.has_profiler, "prof_phase")) {
+    io.field("prof_phase", f.prof_phase);
+    io.field("prof_cat", f.prof_cat);
   }
-  w.end_array();
-  if (f.has_profiler) {
-    w.key("prof_phase").begin_array();
-    for (const std::uint64_t n : f.prof_phase) w.value(n);
-    w.end_array();
-    w.key("prof_cat").begin_array();
-    for (const std::uint64_t n : f.prof_cat) w.value(n);
-    w.end_array();
-  }
-  if (f.has_net) {
+  if (io.present(f.has_net, "net_cycles")) {
     // Additive network-observatory block (netmon.hpp): per-flow /
     // per-direction windowed word deltas plus cumulative hotspot gauges.
-    w.key("net_cycles").value(f.net_cycles);
-    w.key("flow_words").begin_array();
-    for (const std::uint64_t n : f.flow_words) w.value(n);
-    w.end_array();
-    w.key("flow_blocked").begin_array();
-    for (const std::uint64_t n : f.flow_blocked) w.value(n);
-    w.end_array();
-    w.key("net_dir_words").begin_array();
-    for (const std::uint64_t n : f.net_dir_words) w.value(n);
-    w.end_array();
-    w.key("net_peak_queue").value(f.net_peak_queue);
-    w.key("net_hot").begin_array();
-    w.value(f.net_hot_words);
-    w.value(static_cast<std::int64_t>(f.net_hot_x));
-    w.value(static_cast<std::int64_t>(f.net_hot_y));
-    w.value(static_cast<std::int64_t>(f.net_hot_dir));
-    w.end_array();
-    w.key("net_stall").begin_array();
-    w.value(f.net_stall_cycles);
-    w.value(static_cast<std::int64_t>(f.net_stall_x));
-    w.value(static_cast<std::int64_t>(f.net_stall_y));
-    w.value(static_cast<std::int64_t>(f.net_stall_dir));
-    w.end_array();
+    io.field("net_cycles", f.net_cycles);
+    io.field("flow_words", f.flow_words);
+    io.field("flow_blocked", f.flow_blocked);
+    io.field("net_dir_words", f.net_dir_words);
+    io.field("net_peak_queue", f.net_peak_queue);
+    io.field("net_hot", std::tie(f.net_hot_words, f.net_hot_x, f.net_hot_y,
+                                 f.net_hot_dir));
+    io.field("net_stall", std::tie(f.net_stall_cycles, f.net_stall_x,
+                                   f.net_stall_y, f.net_stall_dir));
   }
-  w.end_object();
 }
 
-std::string build_timeseries_json(const TimeSeriesSampler& sampler,
-                                  const ScalarHistory* scalars) {
-  json::Writer w;
-  w.begin_object();
-  w.key("schema").value(kTimeseriesSchema);
-  w.key("program").value(sampler.program());
-  w.key("width").value(sampler.width());
-  w.key("height").value(sampler.height());
-  w.key("threads").value(sampler.threads());
-  w.key("sample_cycles").value(sampler.interval());
-  w.key("frames_dropped").value(sampler.frames_dropped());
-  w.key("frames").begin_array();
-  for (const TimeSeriesFrame& f : sampler.frames()) {
-    emit_timeseries_frame(w, f);
+void describe(artifact::Io& io, TimeSeriesScalar& s) {
+  io.field("iteration", s.iteration);
+  io.field("name", s.name);
+  io.field("value", s.value);
+}
+
+void describe(artifact::Io& io, HealthExpectations& e) {
+  io.field("model", e.model);
+  io.field("phase_cycles", e.phase_cycles);
+}
+
+void describe(artifact::Io& io, NetFlowExpectation& e) {
+  io.field("flow", e.flow);
+  io.field("words_per_iteration", e.words_per_iteration);
+  io.field("exact", e.exact);
+}
+
+void describe(artifact::Io& io, TimeSeries& ts) {
+  io.field("schema", ts.schema);
+  io.field("program", ts.program);
+  io.field("width", ts.width);
+  io.field("height", ts.height);
+  io.field("threads", ts.threads);
+  io.field("sample_cycles", ts.sample_cycles);
+  io.field("frames_dropped", ts.frames_dropped);
+  io.field("frames", ts.frames);
+  if (io.present(ts.has_scalars, "scalars")) {
+    io.field("scalars", ts.scalars);
+    io.field("scalars_dropped", ts.scalars_dropped);
   }
-  w.end_array();
-  if (scalars != nullptr) {
-    w.key("scalars").begin_array();
-    for (const ScalarSample& s : scalars->samples()) {
-      w.begin_object();
-      w.key("iteration").value(s.iteration);
-      w.key("name").value(s.name);
-      w.key("value").value(s.value);
-      w.end_object();
-    }
-    w.end_array();
-    w.key("scalars_dropped").value(scalars->dropped());
+  // Additive blocks: older readers ignore them, so the schema tag stays
+  // wss.timeseries/1. Carrying the model projection in the artifact lets
+  // wss_top / wss_inspect recompute drift alerts offline; the network
+  // sidecar names the frames' net vectors (docs/NETWORK.md).
+  if (io.present(ts.has_expectations, "health_expectations")) {
+    io.field("health_expectations", ts.expectations);
   }
-  if (const HealthExpectations* e = sampler.expectations(); e != nullptr) {
-    // Additive block: older readers ignore it, so the schema tag stays
-    // wss.timeseries/1. Carrying the model projection in the artifact lets
-    // wss_top / wss_inspect recompute drift alerts offline.
-    w.key("health_expectations").begin_object();
-    w.key("model").value(e->model);
-    w.key("phase_cycles").begin_array();
-    for (const double v : e->phase_cycles) w.value(v);
-    w.end_array();
-    w.end_object();
+  if (io.loading() || !ts.net_flows.empty()) {
+    io.field("net_flows", ts.net_flows);
   }
-  if (!sampler.net_flows().empty()) {
-    // Additive network sidecar: flow names index-aligned with the frames'
-    // net vectors, plus any per-flow traffic projections (docs/NETWORK.md).
-    w.key("net_flows").begin_array();
-    for (const std::string& name : sampler.net_flows()) w.value(name);
-    w.end_array();
+  if (io.loading() || !ts.net_expectations.empty()) {
+    io.field("net_expectations", ts.net_expectations);
   }
-  if (!sampler.net_expectations().empty()) {
-    w.key("net_expectations").begin_array();
-    for (const NetFlowExpectation& e : sampler.net_expectations()) {
-      w.begin_object();
-      w.key("flow").value(e.flow);
-      w.key("words_per_iteration").value(e.words_per_iteration);
-      w.key("exact").value(e.exact);
-      w.end_object();
-    }
-    w.end_array();
-  }
-  w.end_object();
-  return w.str();
 }
 
 TimeSeries snapshot_timeseries(const TimeSeriesSampler& sampler,
@@ -163,10 +123,8 @@ TimeSeries snapshot_timeseries(const TimeSeriesSampler& sampler,
   ts.frames_dropped = sampler.frames_dropped();
   ts.frames.assign(sampler.frames().begin(), sampler.frames().end());
   if (scalars != nullptr) {
-    ts.scalars.reserve(scalars->samples().size());
-    for (const ScalarSample& s : scalars->samples()) {
-      ts.scalars.push_back(TimeSeriesScalar{s.iteration, s.name, s.value});
-    }
+    ts.has_scalars = true;
+    ts.scalars = scalars->samples();
     ts.scalars_dropped = scalars->dropped();
   }
   if (const HealthExpectations* e = sampler.expectations(); e != nullptr) {
@@ -181,207 +139,23 @@ TimeSeries snapshot_timeseries(const TimeSeriesSampler& sampler,
 bool write_timeseries(const std::string& path,
                       const TimeSeriesSampler& sampler,
                       const ScalarHistory* scalars, std::string* error) {
-  const std::size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos && slash > 0) {
-    if (!ensure_directory(path.substr(0, slash), error)) return false;
-  }
-  return write_text_file(path, build_timeseries_json(sampler, scalars),
-                         error);
-}
-
-// --- loading -------------------------------------------------------------
-
-namespace {
-
-using jsonparse::Value;
-
-[[nodiscard]] std::string get_string(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_string() ? m->string : std::string{};
-}
-[[nodiscard]] double get_number(const Value* v, const char* key) {
-  const Value* m = v != nullptr ? v->find(key) : nullptr;
-  return m != nullptr && m->is_number() ? m->number : 0.0;
-}
-[[nodiscard]] std::uint64_t get_u64(const Value* v, const char* key) {
-  return static_cast<std::uint64_t>(get_number(v, key));
-}
-[[nodiscard]] int get_int(const Value* v, const char* key) {
-  return static_cast<int>(get_number(v, key));
-}
-
-template <typename T, std::size_t N>
-void get_u64_array(const Value* v, const char* key, std::array<T, N>* out) {
-  const Value* arr = v != nullptr ? v->find(key) : nullptr;
-  if (arr == nullptr || !arr->is_array()) return;
-  const std::size_t n = std::min(N, arr->array->size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Value& e = (*arr->array)[i];
-    if (e.is_number()) (*out)[i] = static_cast<T>(e.number);
-  }
-}
-
-void get_u64_vector(const Value* v, const char* key,
-                    std::vector<std::uint64_t>* out) {
-  const Value* arr = v != nullptr ? v->find(key) : nullptr;
-  if (arr == nullptr || !arr->is_array()) return;
-  out->clear();
-  out->reserve(arr->array->size());
-  for (const Value& e : *arr->array) {
-    out->push_back(e.is_number() ? static_cast<std::uint64_t>(e.number)
-                                 : std::uint64_t{0});
-  }
-}
-
-} // namespace
-
-bool parse_timeseries_frame(const jsonparse::Value& v, TimeSeriesFrame* out) {
-  if (!v.is_object()) return false;
-  TimeSeriesFrame f;
-  f.cycle = get_u64(&v, "cycle");
-  f.window_cycles = get_u64(&v, "window");
-  f.link_transfers = get_u64(&v, "link_transfers");
-  f.flits_forwarded = get_u64(&v, "flits_forwarded");
-  f.words_sent = get_u64(&v, "words_sent");
-  f.words_received = get_u64(&v, "words_received");
-  f.instr_cycles = get_u64(&v, "instr");
-  f.stall_cycles = get_u64(&v, "stall");
-  f.idle_cycles = get_u64(&v, "idle");
-  f.task_invocations = get_u64(&v, "tasks");
-  f.faults = get_u64(&v, "faults");
-  f.router_queued_flits = get_u64(&v, "queued");
-  f.router_queue_peak = get_u64(&v, "queue_peak");
-  f.fifo_highwater = get_u64(&v, "fifo_hw");
-  f.ramp_highwater = get_u64(&v, "ramp_hw");
-  f.max_iteration = get_u64(&v, "iteration");
-  f.done_tiles = static_cast<std::uint32_t>(get_u64(&v, "done_tiles"));
-  get_u64_array(&v, "phase_tiles", &f.phase_tiles);
-  f.has_profiler = v.find("prof_phase") != nullptr;
-  if (f.has_profiler) {
-    get_u64_array(&v, "prof_phase", &f.prof_phase);
-    get_u64_array(&v, "prof_cat", &f.prof_cat);
-  }
-  f.has_net = v.find("net_cycles") != nullptr;
-  if (f.has_net) {
-    f.net_cycles = get_u64(&v, "net_cycles");
-    get_u64_vector(&v, "flow_words", &f.flow_words);
-    get_u64_vector(&v, "flow_blocked", &f.flow_blocked);
-    get_u64_array(&v, "net_dir_words", &f.net_dir_words);
-    f.net_peak_queue = get_u64(&v, "net_peak_queue");
-    std::array<std::uint64_t, 4> hot{};
-    get_u64_array(&v, "net_hot", &hot);
-    f.net_hot_words = hot[0];
-    f.net_hot_x = static_cast<std::int32_t>(hot[1]);
-    f.net_hot_y = static_cast<std::int32_t>(hot[2]);
-    f.net_hot_dir = static_cast<std::int32_t>(hot[3]);
-    std::array<std::uint64_t, 4> stall{};
-    get_u64_array(&v, "net_stall", &stall);
-    f.net_stall_cycles = stall[0];
-    f.net_stall_x = static_cast<std::int32_t>(stall[1]);
-    f.net_stall_y = static_cast<std::int32_t>(stall[2]);
-    f.net_stall_dir = static_cast<std::int32_t>(stall[3]);
-  }
-  *out = f;
-  return true;
+  return artifact::write(path, snapshot_timeseries(sampler, scalars), error);
 }
 
 bool load_timeseries(const std::string& path, TimeSeries* out,
                      std::string* error) {
-  const auto set_error = [&](const std::string& why) {
-    if (error != nullptr) *error = path + ": " + why;
-    return false;
-  };
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return set_error("cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return set_error("read error");
-  const std::string text = buf.str();
-
-  const jsonparse::ParseResult parsed = jsonparse::parse(text);
-  if (!parsed.ok()) return set_error("JSON error: " + parsed.error);
-  const Value& root = *parsed.value;
-  if (!root.is_object()) return set_error("top level is not an object");
-
-  TimeSeries ts;
-  ts.schema = get_string(&root, "schema");
-  if (ts.schema != kTimeseriesSchema) {
-    return set_error("schema mismatch: got '" + ts.schema + "', want '" +
-                     kTimeseriesSchema + "'");
-  }
-  ts.program = get_string(&root, "program");
-  ts.width = get_int(&root, "width");
-  ts.height = get_int(&root, "height");
-  ts.threads = get_int(&root, "threads");
-  ts.sample_cycles = get_u64(&root, "sample_cycles");
-  ts.frames_dropped = get_u64(&root, "frames_dropped");
-
-  if (const Value* frames = root.find("frames");
-      frames != nullptr && frames->is_array()) {
-    ts.frames.reserve(frames->array->size());
-    for (const Value& fv : *frames->array) {
-      TimeSeriesFrame f;
-      if (!parse_timeseries_frame(fv, &f)) {
-        return set_error("frame is not an object");
-      }
-      ts.frames.push_back(f);
-    }
-  }
-  if (const Value* scalars = root.find("scalars");
-      scalars != nullptr && scalars->is_array()) {
-    for (const Value& sv : *scalars->array) {
-      TimeSeriesScalar s;
-      s.iteration = get_u64(&sv, "iteration");
-      s.name = get_string(&sv, "name");
-      s.value = get_number(&sv, "value");
-      ts.scalars.push_back(std::move(s));
-    }
-  }
-  ts.scalars_dropped = get_u64(&root, "scalars_dropped");
-  if (const Value* e = root.find("health_expectations");
-      e != nullptr && e->is_object()) {
-    ts.has_expectations = true;
-    ts.expectations.model = get_string(e, "model");
-    std::array<double, wse::kNumProgPhases> cycles{};
-    get_u64_array(e, "phase_cycles", &cycles);
-    ts.expectations.phase_cycles = cycles;
-  }
-  if (const Value* nf = root.find("net_flows");
-      nf != nullptr && nf->is_array()) {
-    for (const Value& n : *nf->array) {
-      if (n.is_string()) ts.net_flows.push_back(n.string);
-    }
-  }
-  if (const Value* ne = root.find("net_expectations");
-      ne != nullptr && ne->is_array()) {
-    for (const Value& ev : *ne->array) {
-      NetFlowExpectation e;
-      e.flow = get_string(&ev, "flow");
-      e.words_per_iteration = get_number(&ev, "words_per_iteration");
-      const Value* exact = ev.find("exact");
-      e.exact = exact != nullptr && exact->kind == jsonparse::Kind::Bool &&
-                exact->boolean;
-      ts.net_expectations.push_back(std::move(e));
-    }
-  }
-
-  *out = std::move(ts);
-  return true;
+  return artifact::read(path, kTimeseriesSchema, out, error);
 }
 
 // --- self-check ----------------------------------------------------------
 
 bool self_check_timeseries(const TimeSeries& ts, std::string* error) {
-  const auto fail_with = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+  using artifact::fail_with;
+  if (!artifact::check_schema(ts.schema, kTimeseriesSchema, error)) {
     return false;
-  };
-  if (ts.schema != kTimeseriesSchema) {
-    return fail_with("schema mismatch: '" + ts.schema + "'");
   }
   if (ts.width < 0 || ts.height < 0) {
-    return fail_with("negative fabric dimensions");
+    return fail_with(error, "negative fabric dimensions");
   }
   const std::uint64_t tiles = static_cast<std::uint64_t>(ts.width) *
                               static_cast<std::uint64_t>(ts.height);
@@ -389,19 +163,21 @@ bool self_check_timeseries(const TimeSeries& ts, std::string* error) {
   for (std::size_t i = 0; i < ts.frames.size(); ++i) {
     const TimeSeriesFrame& f = ts.frames[i];
     const std::string at = "frame " + std::to_string(i);
-    if (f.window_cycles == 0) return fail_with(at + ": zero-cycle window");
+    if (f.window_cycles == 0) {
+      return fail_with(error, at + ": zero-cycle window");
+    }
     if (i > 0 && f.cycle <= prev_cycle) {
-      return fail_with(at + ": cycles not strictly increasing");
+      return fail_with(error, at + ": cycles not strictly increasing");
     }
     prev_cycle = f.cycle;
     if (tiles > 0) {
       std::uint64_t phase_sum = 0;
       for (const std::uint32_t n : f.phase_tiles) phase_sum += n;
       if (phase_sum > tiles) {
-        return fail_with(at + ": phase tile counts exceed the fabric");
+        return fail_with(error, at + ": phase tile counts exceed the fabric");
       }
       if (f.done_tiles > tiles) {
-        return fail_with(at + ": done tile count exceeds the fabric");
+        return fail_with(error, at + ": done tile count exceeds the fabric");
       }
     }
     if (f.has_profiler) {
@@ -413,9 +189,10 @@ bool self_check_timeseries(const TimeSeries& ts, std::string* error) {
       for (const std::uint64_t n : f.prof_phase) by_phase += n;
       for (const std::uint64_t n : f.prof_cat) by_cat += n;
       if (by_phase != by_cat) {
-        return fail_with(at + ": profiler phase/category sums disagree (" +
-                         std::to_string(by_phase) + " vs " +
-                         std::to_string(by_cat) + ")");
+        return fail_with(error,
+                         at + ": profiler phase/category sums disagree (" +
+                             std::to_string(by_phase) + " vs " +
+                             std::to_string(by_cat) + ")");
       }
     }
     if (f.has_net) {
@@ -424,7 +201,7 @@ bool self_check_timeseries(const TimeSeries& ts, std::string* error) {
       // exactly once, so the two delta breakdowns sum to the same total.
       if (!ts.net_flows.empty() &&
           f.flow_words.size() != ts.net_flows.size()) {
-        return fail_with(at + ": flow vector length (" +
+        return fail_with(error, at + ": flow vector length (" +
                          std::to_string(f.flow_words.size()) +
                          ") disagrees with the declared flows (" +
                          std::to_string(ts.net_flows.size()) + ")");
@@ -434,7 +211,7 @@ bool self_check_timeseries(const TimeSeries& ts, std::string* error) {
       for (const std::uint64_t n : f.flow_words) by_flow += n;
       for (const std::uint64_t n : f.net_dir_words) by_dir += n;
       if (by_flow != by_dir) {
-        return fail_with(at + ": flow/direction word sums disagree (" +
+        return fail_with(error, at + ": flow/direction word sums disagree (" +
                          std::to_string(by_flow) + " vs " +
                          std::to_string(by_dir) + ")");
       }
@@ -442,20 +219,21 @@ bool self_check_timeseries(const TimeSeries& ts, std::string* error) {
   }
   for (std::size_t i = 1; i < ts.scalars.size(); ++i) {
     if (ts.scalars[i].iteration < ts.scalars[i - 1].iteration) {
-      return fail_with("scalar samples not iteration-ordered");
+      return fail_with(error, "scalar samples not iteration-ordered");
     }
   }
   if (ts.has_expectations) {
     for (const double v : ts.expectations.phase_cycles) {
       if (!std::isfinite(v) || v < 0.0) {
-        return fail_with("health expectations: non-finite or negative "
+        return fail_with(error, "health expectations: non-finite or negative "
                          "phase cycles");
       }
     }
   }
   for (const NetFlowExpectation& e : ts.net_expectations) {
     if (!std::isfinite(e.words_per_iteration)) {
-      return fail_with("net expectations: non-finite words per iteration "
+      return fail_with(error,
+                       "net expectations: non-finite words per iteration "
                        "for flow '" + e.flow + "'");
     }
   }
@@ -480,51 +258,17 @@ std::string summarize_frame(const TimeSeriesFrame& f) {
   return out.str();
 }
 
-FrameDivergence first_frame_divergence(const TimeSeries& a,
-                                       const TimeSeries& b) {
-  FrameDivergence d;
-  if (a.program != b.program) {
-    d.note = "warning: program mismatch ('" + a.program + "' vs '" +
-             b.program + "') — divergence below may be meaningless";
-  } else if (a.sample_cycles != b.sample_cycles) {
+Divergence first_divergence(const TimeSeries& a, const TimeSeries& b) {
+  Divergence d = first_divergence_in("frame", "recorded frame streams",
+                                     a.frames, b.frames, summarize_frame);
+  d.note = program_mismatch(a.program, b.program);
+  if (d.note.empty() && a.sample_cycles != b.sample_cycles) {
     d.note = "warning: sample interval mismatch (" +
              std::to_string(a.sample_cycles) + " vs " +
              std::to_string(b.sample_cycles) +
              ") — frames cover different windows";
   }
-  const std::size_t n = std::min(a.frames.size(), b.frames.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a.frames[i] == b.frames[i]) continue;
-    d.found = true;
-    d.index = i;
-    d.cycle = std::min(a.frames[i].cycle, b.frames[i].cycle);
-    d.a_frame = summarize_frame(a.frames[i]);
-    d.b_frame = summarize_frame(b.frames[i]);
-    return d;
-  }
-  if (a.frames.size() != b.frames.size()) {
-    d.found = true;
-    d.index = n;
-    const bool a_longer = a.frames.size() > n;
-    d.cycle = a_longer ? a.frames[n].cycle : b.frames[n].cycle;
-    d.a_frame = a_longer ? summarize_frame(a.frames[n]) : "-";
-    d.b_frame = a_longer ? "-" : summarize_frame(b.frames[n]);
-  }
   return d;
-}
-
-std::string pretty_frame_divergence(const FrameDivergence& d) {
-  std::ostringstream out;
-  if (!d.note.empty()) out << d.note << "\n";
-  if (!d.found) {
-    out << "no divergence: recorded frame streams are identical\n";
-    return out.str();
-  }
-  out << "first divergent frame at index " << d.index << " (cycle " << d.cycle
-      << "):\n";
-  out << "  A: " << d.a_frame << "\n";
-  out << "  B: " << d.b_frame << "\n";
-  return out.str();
 }
 
 // --- rendering -----------------------------------------------------------

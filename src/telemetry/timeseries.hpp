@@ -24,8 +24,8 @@
 // Like profiler.hpp and flightrec.hpp, the recording surface is
 // header-only on purpose: wss_wse does not link wss_telemetry, so
 // fabric.cpp may include this header and call the inline recorder without
-// creating a library cycle. Analysis (JSON emit/load, self-check, frame
-// diffing, sparkline rendering) lives in timeseries.cpp inside
+// creating a library cycle. Analysis (the artifact's field list, self-check,
+// frame diffing, sparkline rendering) lives in timeseries.cpp inside
 // wss_telemetry.
 
 #include <array>
@@ -39,12 +39,10 @@
 
 namespace wss::telemetry {
 
-namespace json {
-class Writer; // telemetry/json.hpp
+namespace artifact {
+class Io; // telemetry/artifact.hpp
 }
-namespace jsonparse {
-struct Value; // telemetry/json_parse.hpp
-}
+struct Divergence;   // telemetry/artifact.hpp
 class ScalarHistory; // telemetry/postmortem.hpp
 
 /// Timeseries schema identifier; bump on breaking layout changes.
@@ -71,9 +69,7 @@ struct HealthExpectations {
     return false;
   }
 
-  [[nodiscard]] bool operator==(const HealthExpectations& o) const {
-    return model == o.model && phase_cycles == o.phase_cycles;
-  }
+  [[nodiscard]] bool operator==(const HealthExpectations&) const = default;
 };
 
 /// Modeled traffic for one declared network flow: expected link-word
@@ -87,10 +83,7 @@ struct NetFlowExpectation {
   double words_per_iteration = 0.0; ///< <= 0 means ungated
   bool exact = false; ///< analytically exact (stencilfe legs) vs anchored
 
-  [[nodiscard]] bool operator==(const NetFlowExpectation& o) const {
-    return flow == o.flow && words_per_iteration == o.words_per_iteration &&
-           exact == o.exact;
-  }
+  [[nodiscard]] bool operator==(const NetFlowExpectation&) const = default;
 };
 
 /// Cumulative snapshot of fabric-wide counters and gauges, collected by
@@ -175,31 +168,7 @@ struct TimeSeriesFrame {
   std::uint64_t net_stall_cycles = 0;
   std::int32_t net_stall_x = 0, net_stall_y = 0, net_stall_dir = 0;
 
-  [[nodiscard]] bool operator==(const TimeSeriesFrame& o) const {
-    return cycle == o.cycle && window_cycles == o.window_cycles &&
-           link_transfers == o.link_transfers &&
-           flits_forwarded == o.flits_forwarded &&
-           words_sent == o.words_sent && words_received == o.words_received &&
-           instr_cycles == o.instr_cycles && stall_cycles == o.stall_cycles &&
-           idle_cycles == o.idle_cycles &&
-           task_invocations == o.task_invocations && faults == o.faults &&
-           router_queued_flits == o.router_queued_flits &&
-           router_queue_peak == o.router_queue_peak &&
-           fifo_highwater == o.fifo_highwater &&
-           ramp_highwater == o.ramp_highwater &&
-           max_iteration == o.max_iteration && done_tiles == o.done_tiles &&
-           phase_tiles == o.phase_tiles && has_profiler == o.has_profiler &&
-           prof_phase == o.prof_phase && prof_cat == o.prof_cat &&
-           has_net == o.has_net && net_cycles == o.net_cycles &&
-           flow_words == o.flow_words && flow_blocked == o.flow_blocked &&
-           net_dir_words == o.net_dir_words &&
-           net_peak_queue == o.net_peak_queue &&
-           net_hot_words == o.net_hot_words && net_hot_x == o.net_hot_x &&
-           net_hot_y == o.net_hot_y && net_hot_dir == o.net_hot_dir &&
-           net_stall_cycles == o.net_stall_cycles &&
-           net_stall_x == o.net_stall_x && net_stall_y == o.net_stall_y &&
-           net_stall_dir == o.net_stall_dir;
-  }
+  [[nodiscard]] bool operator==(const TimeSeriesFrame&) const = default;
 };
 
 /// The sampler: a bounded ring of frames fed by the fabric. Attach with
@@ -397,7 +366,7 @@ private:
 // --- flushing / loading / analysis (timeseries.cpp) ---------------------
 
 /// Host-side solver scalar to correlate with the cycle windows (residual,
-/// rho, omega per iteration — fed from the existing ScalarHistory hook).
+/// rho, omega per iteration — the ScalarHistory's ScalarSample).
 struct TimeSeriesScalar {
   std::uint64_t iteration = 0;
   std::string name;
@@ -412,6 +381,7 @@ struct TimeSeries {
   std::uint64_t sample_cycles = 0;
   std::uint64_t frames_dropped = 0;
   std::vector<TimeSeriesFrame> frames;
+  bool has_scalars = false; ///< a solver scalar history was attached
   std::vector<TimeSeriesScalar> scalars;
   std::uint64_t scalars_dropped = 0;
   bool has_expectations = false;
@@ -429,19 +399,14 @@ struct TimeSeries {
 [[nodiscard]] TimeSeries snapshot_timeseries(const TimeSeriesSampler& sampler,
                                              const ScalarHistory* scalars);
 
-/// Render the series JSON; `scalars` (may be null) embeds the solver
-/// scalar history alongside the frames.
-[[nodiscard]] std::string build_timeseries_json(
-    const TimeSeriesSampler& sampler, const ScalarHistory* scalars = nullptr);
-
-/// Write the series to `path` (parent directories created). Returns false
-/// + `*error` on I/O failure.
+/// Write snapshot_timeseries(sampler, scalars) to `path` (parent
+/// directories created). Returns false + `*error` on I/O failure.
 bool write_timeseries(const std::string& path, const TimeSeriesSampler& sampler,
                       const ScalarHistory* scalars = nullptr,
                       std::string* error = nullptr);
 
 /// Parse a series file. Returns false + `*error` (with context) on
-/// unreadable files, JSON errors, or schema mismatch.
+/// unreadable files, JSON errors, schema mismatch, or a bad field.
 bool load_timeseries(const std::string& path, TimeSeries* out,
                      std::string* error = nullptr);
 
@@ -451,20 +416,10 @@ bool load_timeseries(const std::string& path, TimeSeries* out,
 bool self_check_timeseries(const TimeSeries& ts, std::string* error = nullptr);
 
 /// First divergent frame between two series of the same program: the
-/// earliest frame index at which the two disagree (mirrors the
-/// post-mortem diff UX).
-struct FrameDivergence {
-  bool found = false;
-  std::size_t index = 0;    ///< frame index of the first difference
-  std::uint64_t cycle = 0;  ///< that frame's cycle (min of the two sides)
-  std::string a_frame;      ///< one-line summary ("-" when absent)
-  std::string b_frame;
-  std::string note;         ///< e.g. program/interval mismatch warning
-};
-
-[[nodiscard]] FrameDivergence first_frame_divergence(const TimeSeries& a,
-                                                     const TimeSeries& b);
-[[nodiscard]] std::string pretty_frame_divergence(const FrameDivergence& d);
+/// earliest frame index at which the two disagree (pretty_divergence
+/// renders it).
+[[nodiscard]] Divergence first_divergence(const TimeSeries& a,
+                                          const TimeSeries& b);
 
 /// One-line frame summary used by the diff and the print mode.
 [[nodiscard]] std::string summarize_frame(const TimeSeriesFrame& f);
@@ -481,9 +436,11 @@ struct FrameDivergence {
 [[nodiscard]] std::string pretty_timeseries(const TimeSeries& ts,
                                             std::size_t last_k = 8);
 
-/// Frame emit/parse shared with the post-mortem bundle (which embeds the
-/// tail of the active series).
-void emit_timeseries_frame(json::Writer& w, const TimeSeriesFrame& f);
-bool parse_timeseries_frame(const jsonparse::Value& v, TimeSeriesFrame* out);
+/// The wss.timeseries/1 field lists (telemetry/artifact.hpp). The frame
+/// and scalar lists are shared with the post-mortem bundle, which embeds
+/// the tail of the active series.
+void describe(artifact::Io& io, TimeSeriesFrame& f);
+void describe(artifact::Io& io, TimeSeriesScalar& s);
+void describe(artifact::Io& io, TimeSeries& ts);
 
 } // namespace wss::telemetry

@@ -22,6 +22,7 @@
 #include "stencil/generators.hpp"
 #include "support/env_guard.hpp"
 #include "support/proptest.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/io.hpp"
 #include "telemetry/ledger.hpp"
@@ -452,27 +453,27 @@ TEST(Health, GoldenAlertsFileSelfChecks) {
 TEST(Health, FirstAlertDivergenceLocalizesTheDifference) {
   const AlertsFile a = sample_alerts();
   AlertsFile b = a;
-  EXPECT_FALSE(first_alert_divergence(a, b).found);
+  EXPECT_FALSE(first_divergence(a, b).found);
 
   b.alerts[1].last_frame = 11;
-  const AlertDivergence d = first_alert_divergence(a, b);
+  const Divergence d = first_divergence(a, b);
   ASSERT_TRUE(d.found);
   EXPECT_EQ(d.index, 1u);
-  EXPECT_NE(d.a_alert, d.b_alert);
-  EXPECT_FALSE(pretty_alert_divergence(d).empty());
+  EXPECT_NE(d.a, d.b);
+  EXPECT_FALSE(pretty_divergence(d).empty());
 
   // A shorter stream diverges at its end, against "-".
   AlertsFile shorter = a;
   shorter.alerts.pop_back();
-  const AlertDivergence tail = first_alert_divergence(a, shorter);
+  const Divergence tail = first_divergence(a, shorter);
   ASSERT_TRUE(tail.found);
   EXPECT_EQ(tail.index, 1u);
-  EXPECT_EQ(tail.b_alert, "-");
+  EXPECT_EQ(tail.b, "-");
 
   // Cross-program diffs carry a warning note but still diff.
   AlertsFile other = a;
   other.program = "something else";
-  const AlertDivergence warned = first_alert_divergence(a, other);
+  const Divergence warned = first_divergence(a, other);
   EXPECT_FALSE(warned.found);
   EXPECT_NE(warned.note.find("program mismatch"), std::string::npos);
 }

@@ -113,6 +113,23 @@ TEST(JsonParse, ErrorsCarryByteOffsets) {
   EXPECT_NE(parse_err("{\"a\" 1}").find("at byte"), std::string::npos);
 }
 
+TEST(JsonParse, NestingIsCapped) {
+  // A million '[' would overflow the recursive descent's stack; the cap
+  // turns it into an ordinary error with a byte offset.
+  const std::string deep(1000000, '[');
+  const std::string err = parse_err(deep);
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+  EXPECT_NE(err.find("at byte"), std::string::npos) << err;
+  // Exactly kMaxDepth levels still parse; one more does not.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  parse_ok(nested(kMaxDepth));
+  parse_err(nested(kMaxDepth + 1));
+  parse_err(std::string(static_cast<std::size_t>(kMaxDepth) + 1, '{'));
+}
+
 TEST(JsonParse, StrictnessRejectsExtensions) {
   parse_err("NaN");           // not a JSON token
   parse_err("Infinity");      // not a JSON token

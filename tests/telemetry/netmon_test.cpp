@@ -24,6 +24,7 @@
 #include "stencilfe/executor.hpp"
 #include "stencilfe/workloads.hpp"
 #include "support/env_guard.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/health.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/netmon.hpp"
@@ -247,13 +248,13 @@ TEST(NetMonitor, ArtifactRoundTripsThroughDisk) {
   ASSERT_TRUE(load_netflows(path, &back, &error)) << error;
   EXPECT_EQ(build_netflows_json(back), build_netflows_json(nf));
   EXPECT_TRUE(back.flow_table == nf.flow_table);
-  EXPECT_FALSE(first_netflows_divergence(nf, back).found);
+  EXPECT_FALSE(first_divergence(nf, back).found);
   NetFlowsFile drifted = back;
   drifted.flows[2].blocked += 7;
-  const NetFlowsDivergence d = first_netflows_divergence(nf, drifted);
+  const Divergence d = first_divergence(nf, drifted);
   ASSERT_TRUE(d.found);
   EXPECT_EQ(d.index, 2u);
-  EXPECT_FALSE(pretty_netflows_divergence(d).empty());
+  EXPECT_FALSE(pretty_divergence(d).empty());
   EXPECT_FALSE(pretty_netflows(nf).empty());
 }
 

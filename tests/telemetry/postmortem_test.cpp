@@ -9,13 +9,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "telemetry/artifact.hpp"
 #include "telemetry/flightrec.hpp"
 #include "telemetry/postmortem.hpp"
+#include "telemetry/profiler.hpp"
+#include "telemetry/timeseries.hpp"
 #include "wse/fabric.hpp"
 #include "wse/fault.hpp"
 
@@ -524,6 +529,72 @@ TEST(FaultPlanDeadlock, BundleNamesBlockedTileAndAwaitedColor) {
   EXPECT_NE(pretty.find("(1,0)"), std::string::npos) << pretty;
 }
 
+// Every optional block at once — stop, wait-for graph, flight rings,
+// profiler (verbatim JSON plus its heatmaps), a scalar history with a
+// non-finite sample, the time-series tail and a fault log: re-emitting the
+// loaded bundle must reproduce the written bytes exactly.
+TEST(Bundle, LoadEmitIsAFixedPointWithEveryBlock) {
+  static const CS1Params arch;
+  Fabric fabric(2, 1, arch, SimParams{});
+  FaultPlan plan;
+  plan.seed = 42;
+  LinkFault drop;
+  drop.x = 0;
+  drop.y = 0;
+  drop.dir = Dir::East;
+  drop.kind = FaultKind::DropWavelet;
+  drop.probability = 1.0;
+  plan.link_faults.push_back(drop);
+  fabric.set_fault_plan(&plan);
+  FlightRecorder rec(2, 1, 16);
+  fabric.set_flight_recorder(&rec);
+  telemetry::Profiler prof(2, 1);
+  fabric.set_profiler(&prof);
+  telemetry::TimeSeriesSampler sampler(8);
+  fabric.set_sampler(&sampler);
+  configure_p2p(fabric, /*color=*/3, /*len=*/8);
+  fabric.set_watchdog(100);
+  const StopInfo stop = fabric.run(100000);
+  ASSERT_TRUE(stop.deadlock);
+  fabric.sample_now();
+  ScalarHistory scalars;
+  scalars.record(0, "rho", 1.5);
+  scalars.record(1, "omega", std::numeric_limits<double>::quiet_NaN());
+
+  AnomalyInfo anomaly;
+  anomaly.kind = AnomalyInfo::Kind::Deadlock;
+  anomaly.cycle = fabric.stats().cycles;
+  anomaly.detail = "every block";
+  PostmortemInputs in;
+  in.fabric = &fabric;
+  in.recorder = &rec;
+  in.profiler = &prof;
+  in.scalars = &scalars;
+  in.stop = &stop;
+  in.timeseries = &sampler;
+  in.program = "p2p 2x1";
+  std::string path;
+  std::string error;
+  ASSERT_TRUE(telemetry::write_postmortem(temp_dir("fixed_point"), anomaly, in,
+                                          &path, &error))
+      << error;
+  std::ifstream file(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+
+  Bundle bundle;
+  ASSERT_TRUE(telemetry::load_bundle(path, &bundle, &error)) << error;
+  EXPECT_TRUE(bundle.has_fabric && bundle.has_stop && bundle.has_flight &&
+              bundle.has_scalars && bundle.has_timeseries);
+  EXPECT_FALSE(bundle.profiler_json.empty());
+  EXPECT_FALSE(bundle.wait_blocked.empty());
+  EXPECT_FALSE(bundle.ts_frames.empty());
+  EXPECT_FALSE(bundle.fault_log.empty());
+  EXPECT_GT(bundle.fault_stats.wavelets_dropped, 0u);
+  EXPECT_EQ(telemetry::artifact::emit(bundle), written);
+  EXPECT_TRUE(telemetry::self_check_bundle(bundle, &error)) << error;
+}
+
 TEST(Divergence, FaultedRunDivergesFromCleanTwinAtTheFaultSite) {
   const std::string dir = temp_dir("diff");
   const std::string clean_path = run_p2p_and_snapshot(dir, nullptr);
@@ -553,7 +624,7 @@ TEST(Divergence, FaultedRunDivergesFromCleanTwinAtTheFaultSite) {
   EXPECT_EQ(d.x, 1);
   EXPECT_EQ(d.y, 0);
   EXPECT_GT(d.cycle, 0u);
-  EXPECT_NE(d.a_event, d.b_event);
+  EXPECT_NE(d.a, d.b);
   const std::string pretty = telemetry::pretty_divergence(d);
   EXPECT_NE(pretty.find("(1,0)"), std::string::npos) << pretty;
 

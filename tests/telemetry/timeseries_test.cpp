@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "stencil/generators.hpp"
 #include "support/proptest.hpp"
+#include "telemetry/artifact.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/io.hpp"
 #include "telemetry/postmortem.hpp"
@@ -333,24 +334,24 @@ TEST(TimeSeries, FirstFrameDivergenceLocalizesTheDifference) {
     a.frames.push_back(f);
   }
   TimeSeries b = a;
-  const FrameDivergence same = first_frame_divergence(a, b);
+  const Divergence same = first_divergence(a, b);
   EXPECT_FALSE(same.found);
 
   b.frames[2].instr_cycles += 1;
-  const FrameDivergence d = first_frame_divergence(a, b);
+  const Divergence d = first_divergence(a, b);
   ASSERT_TRUE(d.found);
   EXPECT_EQ(d.index, 2u);
   EXPECT_EQ(d.cycle, 30u);
-  EXPECT_NE(d.a_frame, d.b_frame);
-  EXPECT_FALSE(pretty_frame_divergence(d).empty());
+  EXPECT_NE(d.a, d.b);
+  EXPECT_FALSE(pretty_divergence(d).empty());
 
   // A truncated series diverges at its end, against "-".
   TimeSeries shorter = a;
   shorter.frames.pop_back();
-  const FrameDivergence tail = first_frame_divergence(a, shorter);
+  const Divergence tail = first_divergence(a, shorter);
   ASSERT_TRUE(tail.found);
   EXPECT_EQ(tail.index, 3u);
-  EXPECT_EQ(tail.b_frame, "-");
+  EXPECT_EQ(tail.b, "-");
 }
 
 TEST(TimeSeries, SparklineScalesToMax) {
