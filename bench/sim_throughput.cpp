@@ -19,13 +19,20 @@
 //     must reproduce the unobserved run bit for bit and reports what the
 //     observers cost in tile-cycles/s.
 //
+// First of all it reports host memory per tile: resident growth while the
+// steady slab's fabric is built, gated at <= 24 KB (docs/SIMULATOR.md,
+// "Host memory per tile").
+//
 // Machine-readable output: with WSS_JSON_OUT=<dir> the rows below land in
 // bench_sim_throughput.json; CI prints, gates on, and archives them
 // (bench/baselines/bench_sim_throughput.json tracks the gate rows).
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -131,6 +138,15 @@ MeasuredReduce run_allreduce(int n, const wss::wse::CS1Params& arch,
   return m;
 }
 
+/// Resident set size of this process, in bytes.
+double resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  double size = 0.0;
+  double resident = 0.0;
+  statm >> size >> resident;
+  return resident * static_cast<double>(::sysconf(_SC_PAGESIZE));
+}
+
 bool same_bits(float a, float b) {
   std::uint32_t ab = 0;
   std::uint32_t bb = 0;
@@ -170,6 +186,27 @@ int main(int argc, char** argv) {
               wse::SimThreadPool::hardware_threads());
 
   const wse::CS1Params arch;
+
+  // --- section 0: host memory per tile ----------------------------------
+  // Taken before anything else runs, so the allocator has no freed memory
+  // to hand back and every page the fabric touches shows up as growth.
+  const double stiles =
+      static_cast<double>(nsteady) * static_cast<double>(nsteady);
+  double bytes_per_tile = 0.0;
+  {
+    wse::SimParams sim;
+    sim.sim_threads = 1;
+    const double rss0 = resident_bytes();
+    const wsekernels::AllReduceSimulation s(nsteady, nsteady, arch, sim);
+    bytes_per_tile = (resident_bytes() - rss0) / stiles;
+  }
+  constexpr double kBytesPerTileGate = 24.0 * 1024.0;
+  const bool bytes_ok = bytes_per_tile <= kBytesPerTileGate;
+  std::printf("host memory: %.0f bytes/tile on the %dx%d steady slab\n",
+              bytes_per_tile, nsteady, nsteady);
+  bench::row("bytes/tile", 0.0, bytes_per_tile, "B");
+  bench::row("bytes/tile <= 24 KB", 0.0, bytes_ok ? 1.0 : 0.0, "bool");
+
   const Case c = make_case(Grid3(n, n, z), 42);
   const double tiles = static_cast<double>(n) * static_cast<double>(n);
 
@@ -266,8 +303,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const double stiles =
-      static_cast<double>(nsteady) * static_cast<double>(nsteady);
   const double ref_stc =
       stiles * static_cast<double>(ref_r.cycles) / ref_r.seconds;
   const double tur_stc =
@@ -333,5 +368,11 @@ int main(int argc, char** argv) {
     bench::note("turbo fell below the 10x steady-state target "
                 "(docs/BACKENDS.md)");
   }
-  return (bit_exact && turbo_exact && observed_exact && turbo_10x) ? 0 : 1;
+  if (!bytes_ok) {
+    bench::note("host memory per tile exceeds the 24 KB target "
+                "(docs/SIMULATOR.md)");
+  }
+  return (bit_exact && turbo_exact && observed_exact && turbo_10x && bytes_ok)
+             ? 0
+             : 1;
 }

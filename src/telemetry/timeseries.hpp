@@ -206,9 +206,11 @@ public:
     has_baseline_ = true;
   }
 
-  /// Record one frame from a cumulative snapshot. Counters that shrank
-  /// (a mid-run Fabric::reset_control() zeroes core stats) restart the
-  /// delta from the new cumulative value instead of underflowing.
+  /// Record one frame from a cumulative snapshot. Core, router and fault
+  /// counters are cumulative (reset_control() leaves them alone), but a
+  /// profiler swapped in mid-run restarts its totals from zero: a counter
+  /// that shrank restarts the delta from the new cumulative value instead
+  /// of underflowing.
   void record(const TimeSeriesSample& s) {
     const auto delta = [](std::uint64_t cur, std::uint64_t prev) {
       return cur >= prev ? cur - prev : cur;

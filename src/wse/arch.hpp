@@ -63,15 +63,24 @@ struct CS1Params {
 ///               with observers and fault plans attached or not.
 enum class Backend : std::uint8_t { Auto = 0, Reference, Turbo };
 
+/// 32-bit links: two packed fp16 words (or one fp32 word) per cycle.
+inline constexpr int kLinkHalfwordsPerCycle = 2;
+/// Per-virtual-channel router input queue: two link-cycles of halfwords.
+inline constexpr int kInQueueHalfwords = 2 * kLinkHalfwordsPerCycle;
+/// Storage capacities of the simulator's inline queue rings
+/// (wse/inline_ring.hpp). SimParams depths must lie in [1, capacity];
+/// Fabric and TileCore reject anything else at construction.
+inline constexpr int kRouterQueueCapacity = 4; ///< per (output port, color)
+inline constexpr int kRampQueueCapacity = 8;   ///< per local channel
+
 /// Simulator microarchitecture knobs (queue depths etc.) — not performance
 /// claims, just enough buffering to keep the pipelined dataflow smooth, as
 /// the hardware's per-channel queues do.
 struct SimParams {
-  int router_queue_depth = 4; ///< per (output port, color) queue
-  int ramp_queue_depth = 8;   ///< per local channel at the core
-  int fifo_default_depth = 20; ///< paper: "We used a FIFO depth of 20."
-  /// 32-bit links: two packed fp16 words (or one fp32 word) per cycle.
-  int link_halfwords_per_cycle = 2;
+  /// per (output port, color) queue, in [1, kRouterQueueCapacity]
+  int router_queue_depth = kRouterQueueCapacity;
+  /// per local channel at the core, in [1, kRampQueueCapacity]
+  int ramp_queue_depth = kRampQueueCapacity;
   /// Host-side simulation parallelism (NOT a property of the modeled
   /// machine): worker threads Fabric::step() shards its row bands over.
   /// 0 = consult the WSS_SIM_THREADS environment variable (default 1 =

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 // Header-only recording surface; creates no link dependency on
 // wss_telemetry (analysis lives there, the core only records).
@@ -12,9 +14,6 @@
 namespace wss::wse {
 
 namespace {
-
-/// Local channel count: the color space plus a few loopback pseudo-channels.
-constexpr int kNumLocalChannels = 32;
 
 /// Elements an instruction may advance per datapath cycle. fp16 elementwise
 /// ops run 4-way SIMD (the paper's AXPY case: 8 halfword reads + 4 writes
@@ -55,23 +54,85 @@ int width_of(OpKind op, DType dtype) {
   return 1;
 }
 
+/// Halfwords the program addresses, validated against the SRAM: the larger
+/// of its declared memory_halfwords and the end of every TensorDesc and
+/// FifoState extent. Throws std::runtime_error when memory_halfwords
+/// exceeds the SRAM and std::invalid_argument when a descriptor addresses
+/// outside [0, sram).
+int program_footprint(const TileProgram& prog, int sram) {
+  if (prog.memory_halfwords > sram) {
+    throw std::runtime_error("tile program exceeds 48KB SRAM");
+  }
+  int footprint = std::max(prog.memory_halfwords, 0);
+  // [lo, hi) in 64 bits: a hostile base/len/stride must not overflow.
+  const auto cover = [&](const char* what, std::size_t i, std::int64_t lo,
+                         std::int64_t hi) {
+    if (lo < 0 || hi > sram) {
+      throw std::invalid_argument(
+          std::string(what) + " " + std::to_string(i) + " addresses [" +
+          std::to_string(lo) + ", " + std::to_string(hi) +
+          ") outside tile SRAM [0, " + std::to_string(sram) + ")");
+    }
+    footprint = std::max(footprint, static_cast<int>(hi));
+  };
+  for (std::size_t i = 0; i < prog.tensors.size(); ++i) {
+    const TensorDesc& t = prog.tensors[i];
+    if (t.len <= 0) continue;
+    const std::int64_t hw = halfwords(t.dtype);
+    const std::int64_t span = static_cast<std::int64_t>(t.len - 1) * t.stride * hw;
+    cover("TensorDesc", i, t.base + std::min<std::int64_t>(span, 0),
+          t.base + std::max<std::int64_t>(span, 0) + hw);
+  }
+  for (std::size_t i = 0; i < prog.fifos.size(); ++i) {
+    const FifoState& f = prog.fifos[i];
+    if (f.capacity <= 0) continue;
+    cover("FifoState", i, f.base,
+          static_cast<std::int64_t>(f.base) + f.capacity);
+  }
+  return footprint;
+}
+
 } // namespace
+
+void validate_queue_depths(const SimParams& sim) {
+  const auto check = [](const char* what, int depth, int capacity) {
+    if (depth < 1 || depth > capacity) {
+      throw std::invalid_argument(
+          std::string("SimParams::") + what + " = " + std::to_string(depth) +
+          " outside [1, " + std::to_string(capacity) + "]");
+    }
+  };
+  check("router_queue_depth", sim.router_queue_depth, kRouterQueueCapacity);
+  check("ramp_queue_depth", sim.ramp_queue_depth, kRampQueueCapacity);
+}
 
 TileCore::TileCore(TileProgram program, const CS1Params& arch,
                    const SimParams& sim)
     : prog_(std::move(program)),
-      pristine_(prog_),
+      pristine_{prog_.tensors, prog_.fabrics, prog_.fifos, {}},
       arch_(&arch),
       sim_(sim),
-      memory_(static_cast<std::size_t>(arch.tile_memory_bytes / 2), 0),
+      memory_(static_cast<std::size_t>(
+                  program_footprint(prog_, arch.tile_memory_bytes / 2)),
+              0),
       scalars_(static_cast<std::size_t>(prog_.num_scalars > 0 ? prog_.num_scalars : 1), 0.0f),
-      ramp_queues_(kNumLocalChannels),
       slots_(static_cast<std::size_t>(arch.num_thread_slots) + 1) {
-  if (prog_.memory_halfwords > arch.tile_memory_bytes / 2) {
-    throw std::runtime_error("tile program exceeds 48KB SRAM");
+  validate_queue_depths(sim_);
+  pristine_.task_flags.reserve(prog_.tasks.size());
+  for (const Task& t : prog_.tasks) {
+    pristine_.task_flags.emplace_back(t.activated, t.blocked);
   }
   if (prog_.initial_task != kNoTask) {
     prog_.tasks[static_cast<std::size_t>(prog_.initial_task)].activated = true;
+  }
+}
+
+void TileCore::check_host_addr(int addr, int halfwords) const {
+  if (addr < 0 || static_cast<std::size_t>(addr) + static_cast<std::size_t>(halfwords) >
+                      memory_.size()) {
+    throw std::out_of_range("host access at halfword " + std::to_string(addr) +
+                            " outside the tile footprint [0, " +
+                            std::to_string(memory_.size()) + ")");
   }
 }
 
@@ -104,8 +165,14 @@ void TileCore::write_f32(int addr, float v) {
   memory_[static_cast<std::size_t>(addr) + 1] = static_cast<std::uint16_t>(bits >> 16);
 }
 
-void TileCore::host_write_f32(int addr, float v) { write_f32(addr, v); }
-float TileCore::host_read_f32(int addr) const { return read_f32(addr); }
+void TileCore::host_write_f32(int addr, float v) {
+  check_host_addr(addr, 2);
+  write_f32(addr, v);
+}
+float TileCore::host_read_f32(int addr) const {
+  check_host_addr(addr, 2);
+  return read_f32(addr);
+}
 
 double TileCore::read_elem(const TensorDesc& t, int i) const {
   const int addr = t.addr_at(i);
@@ -793,6 +860,12 @@ std::vector<CoreWait> TileCore::waits() const {
   return out;
 }
 
+std::size_t TileCore::ramp_words() const {
+  std::size_t n = 0;
+  for (const auto& q : ramp_queues_) n += q.size();
+  return n;
+}
+
 bool TileCore::quiescent() const {
   for (const auto& s : slots_) {
     if (s.has_value()) return false;
@@ -812,10 +885,14 @@ void TileCore::reset_control() {
   prog_.fabrics = pristine_.fabrics;
   prog_.fifos = pristine_.fifos;
   for (std::size_t i = 0; i < prog_.tasks.size(); ++i) {
-    prog_.tasks[i].activated = pristine_.tasks[i].activated;
-    prog_.tasks[i].blocked = pristine_.tasks[i].blocked;
+    std::tie(prog_.tasks[i].activated, prog_.tasks[i].blocked) =
+        pristine_.task_flags[i];
   }
   for (auto& s : slots_) s.reset();
+  // Words a run left undelivered (it stopped short of AllDone) belong to
+  // that run; the next one must not consume them.
+  for (auto& q : ramp_queues_) q.clear();
+  rr_slot_ = 0;
   current_task_ = kNoTask;
   current_step_ = 0;
   waiting_sync_ = false;

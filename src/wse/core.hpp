@@ -8,13 +8,14 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fp16.hpp"
 #include "wse/arch.hpp"
+#include "wse/inline_ring.hpp"
 #include "wse/program.hpp"
 #include "wse/routing.hpp"
 #include "wse/trace.hpp"
@@ -38,6 +39,14 @@ struct RouterStats {
   std::array<std::uint64_t, 4> link_words = {0, 0, 0, 0};
 };
 
+/// Router output queue of one (mesh direction, color): at most
+/// SimParams::router_queue_depth flits.
+using RouterOutQueue = InlineRing<Flit, kRouterQueueCapacity>;
+/// Router input (virtual-channel) queue of one (mesh direction, color): the
+/// link phase admits a flit only if the queue's halfwords stay within
+/// kInQueueHalfwords, so it never holds more flits than that.
+using RouterInQueue = InlineRing<Flit, kInQueueHalfwords>;
+
 /// Router-side state owned by the fabric but fed by the core on injection.
 struct RouterState {
   /// Queue-occupancy masks, one bit per color per mesh direction: bit c of
@@ -54,13 +63,13 @@ struct RouterState {
   RoutingTable table;
   RouterStats stats;
   /// Per outgoing mesh direction, per color: queued flits awaiting the link.
-  std::array<std::array<std::deque<Flit>, kNumColors>, 4> out_queues;
+  std::array<std::array<RouterOutQueue, kNumColors>, 4> out_queues;
   /// Per-virtual-channel input queues per incoming mesh direction — the
   /// paper: "The router has hardware queues ... for each of a set of
   /// virtual channels, avoiding deadlock." Without per-color separation a
   /// blocked head flit of one color would head-of-line-block every other
   /// color on the link (which deadlocks two concurrent reduction trees).
-  std::array<std::array<std::deque<Flit>, kNumColors>, 4> in_queues;
+  std::array<std::array<RouterInQueue, kNumColors>, 4> in_queues;
   /// Round-robin pointer per outgoing direction for color arbitration.
   std::array<int, 4> rr = {0, 0, 0, 0};
 
@@ -82,14 +91,8 @@ inline void occ_clear(std::uint32_t& mask, int color) {
   mask &= ~(1u << static_cast<unsigned>(color));
 }
 
-/// Halfword occupancy of a set of flits (wide flits count twice).
-inline int flit_halfwords(const std::deque<Flit>& q) {
-  int total = 0;
-  for (const Flit& f : q) total += f.wide ? 2 : 1;
-  return total;
-}
-
 /// Per-core activity counters for validating the performance model.
+/// Cumulative over the core's lifetime: reset_control() leaves them alone.
 struct CoreStats {
   std::uint64_t instr_cycles = 0;   ///< cycles the datapath was busy
   std::uint64_t stall_cycles = 0;   ///< datapath had work but was blocked
@@ -139,8 +142,19 @@ struct CoreWait {
   int id = 0;
 };
 
+/// Throw std::invalid_argument unless SimParams::router_queue_depth and
+/// ramp_queue_depth lie in [1, capacity] of their rings (a depth of 0 would
+/// deadlock every stream; one above capacity would overrun the ring).
+void validate_queue_depths(const SimParams& sim);
+
 class TileCore {
 public:
+  /// Validates the queue depths (validate_queue_depths) and that every
+  /// TensorDesc and FifoState of `program` addresses halfwords inside
+  /// [0, arch.tile_memory_bytes / 2) (std::invalid_argument otherwise), and
+  /// that memory_halfwords fits the SRAM (std::runtime_error). SRAM is
+  /// allocated to the program's footprint only: memory_halfwords or the
+  /// end of the furthest descriptor extent, whichever is larger.
   TileCore(TileProgram program, const CS1Params& arch, const SimParams& sim);
 
   /// Deliver a fabric word to a local channel queue; false => queue full,
@@ -210,18 +224,33 @@ public:
   [[nodiscard]] std::vector<CoreWait> waits() const;
 
   // --- host access for loading/unloading data (the host interface of a
-  // real system; not part of the simulated cycle count) ---
-  void host_write_f16(int addr, fp16_t v) { memory_[static_cast<std::size_t>(addr)] = v.bits(); }
+  // real system; not part of the simulated cycle count). Addresses outside
+  // the footprint throw std::out_of_range. ---
+  void host_write_f16(int addr, fp16_t v) {
+    check_host_addr(addr, 1);
+    write_f16(addr, v);
+  }
   [[nodiscard]] fp16_t host_read_f16(int addr) const {
-    return fp16_t::from_bits(memory_[static_cast<std::size_t>(addr)]);
+    check_host_addr(addr, 1);
+    return read_f16(addr);
   }
   void host_write_f32(int addr, float v);
   [[nodiscard]] float host_read_f32(int addr) const;
   void host_write_scalar(int reg, float v) { scalars_[static_cast<std::size_t>(reg)] = v; }
   [[nodiscard]] float host_read_scalar(int reg) const { return scalars_[static_cast<std::size_t>(reg)]; }
 
-  /// Reset all descriptor positions, task states, and stats so the same
-  /// program can run again (the solver re-invokes SpMV every iteration).
+  /// SRAM halfwords allocated to this core: the program's footprint.
+  [[nodiscard]] int memory_halfwords() const {
+    return static_cast<int>(memory_.size());
+  }
+
+  /// Words waiting in the ramp queues, summed over all local channels.
+  [[nodiscard]] std::size_t ramp_words() const;
+
+  /// Reset all descriptor positions, task states, ramp queues and the
+  /// thread-slot arbiter so the same program can run again exactly as on a
+  /// fresh core (the solver re-invokes SpMV every iteration). Memory
+  /// contents and the cumulative CoreStats persist.
   void reset_control();
 
   /// One-line human-readable execution state (current task/step, occupied
@@ -234,7 +263,9 @@ private:
     bool from_sync = false; ///< completing unblocks the owning task's steps
   };
 
-  // memory access
+  void check_host_addr(int addr, int halfwords) const;
+
+  // memory access (descriptor extents are validated at construction)
   [[nodiscard]] fp16_t read_f16(int addr) const {
     return fp16_t::from_bits(memory_[static_cast<std::size_t>(addr)]);
   }
@@ -255,12 +286,25 @@ private:
   void run_scheduler();
 
   TileProgram prog_;
-  TileProgram pristine_; ///< initial descriptor/task state, for reset_control
+  /// Initial descriptor and task-flag state, for reset_control. Task bodies
+  /// never change while running, so only their (activated, blocked) flags
+  /// are kept.
+  struct Pristine {
+    std::vector<TensorDesc> tensors;
+    std::vector<FabricDesc> fabrics;
+    std::vector<FifoState> fifos;
+    std::vector<std::pair<bool, bool>> task_flags;
+  };
+  Pristine pristine_;
   const CS1Params* arch_;
   SimParams sim_;
   std::vector<std::uint16_t> memory_;
   std::vector<float> scalars_;
-  std::vector<std::deque<std::uint32_t>> ramp_queues_;
+  /// Local channel count: the color space plus a few loopback
+  /// pseudo-channels.
+  static constexpr int kNumLocalChannels = 32;
+  std::array<InlineRing<std::uint32_t, kRampQueueCapacity>, kNumLocalChannels>
+      ramp_queues_;
 
   // thread slots; index arch_->num_thread_slots is the main/sync slot
   std::vector<std::optional<RunningInstr>> slots_;

@@ -75,6 +75,7 @@ Fabric::Fabric(int width, int height, const CS1Params& arch,
       flags_(static_cast<std::size_t>(width) *
              static_cast<std::size_t>(height)),
       backend_(resolve_backend(sim.backend)) {
+  validate_queue_depths(sim_);
   tiles_.resize(static_cast<std::size_t>(width) *
                 static_cast<std::size_t>(height));
 }
@@ -577,7 +578,7 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
         // 32-bit link: move up to one link-cycle of halfwords, choosing
         // colors round-robin; each color lands in its own virtual-channel
         // input queue at the neighbor.
-        int budget = sim_.link_halfwords_per_cycle;
+        int budget = kLinkHalfwordsPerCycle;
         auto& queues = t.router.out_queues[static_cast<std::size_t>(d)];
         int& rr = t.router.rr[static_cast<std::size_t>(d)];
         bool pushed = false;
@@ -593,9 +594,7 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
             const int cost = q.front().wide ? 2 : 1;
             if (cost > budget) continue;
             auto& inq = in_queues[static_cast<std::size_t>(c)];
-            if (flit_halfwords(inq) + cost > 2 * sim_.link_halfwords_per_cycle) {
-              continue;
-            }
+            if (inq.halfwords() + cost > kInQueueHalfwords) continue;
             Flit flit = q.front();
             q.pop_front();
             if (q.empty()) occ_clear(out_occ, c);
@@ -678,12 +677,12 @@ std::uint64_t Fabric::link_phase(int y0, int y1, int band) {
           for (int c = 0; out_occ != 0 && c < kNumColors; ++c) {
             if ((out_occ & (1u << static_cast<unsigned>(c))) == 0) continue;
             auto& q = queues[static_cast<std::size_t>(c)];
-            const auto hw = static_cast<std::uint64_t>(flit_halfwords(q));
+            const auto hw = static_cast<std::uint64_t>(q.halfwords());
             backlog += hw;
             netmon_->record_backlog(i, d, c, hw);
             const int cost = q.front().wide ? 2 : 1;
-            if (flit_halfwords(in_queues[static_cast<std::size_t>(c)]) + cost >
-                2 * sim_.link_halfwords_per_cycle) {
+            if (in_queues[static_cast<std::size_t>(c)].halfwords() + cost >
+                kInQueueHalfwords) {
               netmon_->record_blocked(i, d, c);
               any_blocked = true;
             }
@@ -982,17 +981,21 @@ bool Fabric::quiescent() const {
 }
 
 void Fabric::reset_control() {
+  // The occupancy masks are exact, so only the queues they name hold
+  // flits; every other ring is already empty.
+  const auto clear_occupied = [](auto& queues, std::uint32_t mask) {
+    for (; mask != 0; mask &= mask - 1) {
+      queues[static_cast<std::size_t>(std::countr_zero(mask))].clear();
+    }
+  };
   for (std::size_t i = 0; i < tiles_.size(); ++i) {
     Tile& t = tiles_[i];
     if (t.core) t.core->reset_control();
-    for (int d = 0; d < 4; ++d) {
-      for (auto& q : t.router.in_queues[static_cast<std::size_t>(d)]) {
-        q.clear();
-      }
-      for (auto& q : t.router.out_queues[static_cast<std::size_t>(d)]) {
-        q.clear();
-      }
+    for (std::size_t d = 0; d < 4; ++d) {
+      clear_occupied(t.router.in_queues[d], t.router.in_occ[d]);
+      clear_occupied(t.router.out_queues[d], t.router.out_occ[d]);
     }
+    t.router.rr = {0, 0, 0, 0};
     t.router.in_occ = {0, 0, 0, 0};
     t.router.out_occ = {0, 0, 0, 0};
     refresh_flags(i);

@@ -163,8 +163,11 @@ public:
   [[nodiscard]] int width() const { return width_; }
   [[nodiscard]] int height() const { return height_; }
 
-  /// Reset per-run control state (descriptors, tasks, stats) on every tile
-  /// so the loaded data can be reused for another kernel invocation.
+  /// Reset per-run control state (descriptors, tasks, router and ramp
+  /// queues, arbiters) on every tile so the loaded data can be reused for
+  /// another kernel invocation, which then runs exactly as on a fresh
+  /// fabric. Memory contents and the cumulative core and router stats
+  /// persist.
   void reset_control();
 
   /// Attach an execution tracer to every configured tile (nullptr
