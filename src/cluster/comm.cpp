@@ -31,7 +31,7 @@ double Comm::allreduce_sum(double value) {
 
 void Comm::barrier() {
   ++stats_.barriers;
-  world_->barrier_wait();
+  world_->barrier_wait(rank_);
 }
 
 World::World(int nranks) : nranks_(nranks) {
@@ -47,7 +47,7 @@ void World::run(const std::function<void(Comm&)>& fn) {
   // Fresh collective state per run.
   coll_arrived_ = 0;
   coll_generation_ = 0;
-  coll_sum_ = 0.0;
+  coll_values_.assign(static_cast<std::size_t>(nranks_), 0.0);
 
   std::vector<std::thread> threads;
   std::exception_ptr error;
@@ -99,14 +99,17 @@ World::Message World::take(int dst, int src, int tag) {
   }
 }
 
-double World::allreduce(int, double value) {
+double World::allreduce(int rank, double value) {
   std::unique_lock<std::mutex> lock(coll_mu_);
   const std::uint64_t my_generation = coll_generation_;
-  coll_sum_ += value;
+  coll_values_[static_cast<std::size_t>(rank)] = value;
   ++coll_arrived_;
   if (coll_arrived_ == nranks_) {
-    coll_result_ = coll_sum_;
-    coll_sum_ = 0.0;
+    // Sum in rank order, not arrival order, so the rounding of the result
+    // is the same on every run.
+    double sum = 0.0;
+    for (const double v : coll_values_) sum += v;
+    coll_result_ = sum;
     coll_arrived_ = 0;
     ++coll_generation_;
     coll_cv_.notify_all();
@@ -116,6 +119,6 @@ double World::allreduce(int, double value) {
   return coll_result_;
 }
 
-void World::barrier_wait() { (void)allreduce(0, 0.0); }
+void World::barrier_wait(int rank) { (void)allreduce(rank, 0.0); }
 
 } // namespace wss::cluster

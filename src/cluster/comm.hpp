@@ -96,7 +96,7 @@ private:
   void deliver(int dst, Message msg);
   Message take(int dst, int src, int tag);
   double allreduce(int rank, double value);
-  void barrier_wait();
+  void barrier_wait(int rank);
 
   int nranks_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
@@ -107,7 +107,7 @@ private:
   std::condition_variable coll_cv_;
   int coll_arrived_ = 0;
   std::uint64_t coll_generation_ = 0;
-  double coll_sum_ = 0.0;
+  std::vector<double> coll_values_; ///< one slot per rank, this round
   double coll_result_ = 0.0;
 };
 

@@ -195,9 +195,9 @@ WaitForGraph build_wait_for_graph(const wse::Fabric& fabric) {
     st.x = x;
     st.y = y;
     const wse::TaskId task = core.current_task();
-    st.task = (task >= 0 && static_cast<std::size_t>(task) <
-                                core.program().tasks.size())
-                  ? core.program().tasks[static_cast<std::size_t>(task)].name
+    const std::vector<wse::Task>& tasks = core.code().program.tasks;
+    st.task = (task >= 0 && static_cast<std::size_t>(task) < tasks.size())
+                  ? tasks[static_cast<std::size_t>(task)].name
                   : "-";
     st.state = core.debug_state();
     g.blocked.push_back(std::move(st));

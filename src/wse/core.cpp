@@ -5,7 +5,6 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 // Header-only recording surface; creates no link dependency on
 // wss_telemetry (analysis lives there, the core only records).
@@ -92,7 +91,226 @@ int program_footprint(const TileProgram& prog, int sram) {
   return footprint;
 }
 
+/// Elements a descriptor has left to walk from its start position.
+int remaining(const TensorDesc& t) { return t.len - t.pos; }
+int remaining(const FabricDesc& f) { return f.len - f.pos; }
+
+/// Throws std::invalid_argument, naming the task and step, unless every
+/// step of `prog` names existing tasks, thread slots and operands, and no
+/// instruction can walk a TensorDesc past its len (TileCode's contract).
+/// An instruction runs until its bounding descriptor (dst, the dot's src1
+/// or the fabric descriptor) is exhausted, so each other TensorDesc it
+/// walks must have at least as many elements left.
+void check_steps(const TileProgram& prog, int thread_slots) {
+  const int num_tasks = static_cast<int>(prog.tasks.size());
+  const auto task_ok = [&](TaskId t) {
+    return t == kNoTask || (t >= 0 && t < num_tasks);
+  };
+  const auto reject = [](const std::string& where, const std::string& why) {
+    throw std::invalid_argument(where + ": " + why);
+  };
+  if (!task_ok(prog.initial_task)) {
+    reject("initial_task", "no task " + std::to_string(prog.initial_task));
+  }
+  for (std::size_t i = 0; i < prog.fabrics.size(); ++i) {
+    if (!task_ok(prog.fabrics[i].trig)) {
+      reject("FabricDesc " + std::to_string(i),
+             "trigger names no task " + std::to_string(prog.fabrics[i].trig));
+    }
+  }
+  for (std::size_t i = 0; i < prog.fifos.size(); ++i) {
+    if (!task_ok(prog.fifos[i].on_push)) {
+      reject("FifoState " + std::to_string(i),
+             "on_push names no task " + std::to_string(prog.fifos[i].on_push));
+    }
+  }
+  const int num_scalars = std::max(prog.num_scalars, 1);
+
+  for (int ti = 0; ti < num_tasks; ++ti) {
+    const Task& task = prog.tasks[static_cast<std::size_t>(ti)];
+    for (std::size_t si = 0; si < task.steps.size(); ++si) {
+      const TaskStep& step = task.steps[si];
+      const auto fail = [&](const std::string& why) {
+        reject("task '" + task.name + "' (" + std::to_string(ti) +
+                   ") step " + std::to_string(si),
+               why);
+      };
+      switch (step.kind) {
+        case TaskStep::Kind::Block:
+        case TaskStep::Kind::Unblock:
+        case TaskStep::Kind::Activate:
+          if (step.target == kNoTask || !task_ok(step.target)) {
+            fail("targets no task " + std::to_string(step.target));
+          }
+          continue;
+        case TaskStep::Kind::Launch:
+          if (step.thread_slot < 0 || step.thread_slot >= thread_slots) {
+            fail("launches on thread slot " +
+                 std::to_string(step.thread_slot) + " outside [0, " +
+                 std::to_string(thread_slots) + ")");
+          }
+          break;
+        case TaskStep::Kind::Sync:
+          break;
+        default:
+          continue;
+      }
+
+      const Instr& in = step.instr;
+      const auto tensor = [&](int id, const char* role) -> const TensorDesc& {
+        if (id < 0 || static_cast<std::size_t>(id) >= prog.tensors.size()) {
+          fail(std::string(role) + " names no TensorDesc " +
+               std::to_string(id));
+        }
+        return prog.tensors[static_cast<std::size_t>(id)];
+      };
+      const auto fabric = [&](int channels) -> const FabricDesc& {
+        if (in.fabric < 0 ||
+            static_cast<std::size_t>(in.fabric) >= prog.fabrics.size()) {
+          fail("names no FabricDesc " + std::to_string(in.fabric));
+        }
+        const FabricDesc& f = prog.fabrics[static_cast<std::size_t>(in.fabric)];
+        if (f.channel < 0 || f.channel >= channels) {
+          fail("FabricDesc " + std::to_string(in.fabric) + " channel " +
+               std::to_string(f.channel) + " outside [0, " +
+               std::to_string(channels) + ")");
+        }
+        return f;
+      };
+      const auto fifo = [&] {
+        if (in.fifo < 0 ||
+            static_cast<std::size_t>(in.fifo) >= prog.fifos.size() ||
+            prog.fifos[static_cast<std::size_t>(in.fifo)].capacity <= 0) {
+          fail("names no FIFO " + std::to_string(in.fifo));
+        }
+      };
+      const auto scalar = [&](int reg) {
+        if (reg < 0 || reg >= num_scalars) {
+          fail("names no scalar register " + std::to_string(reg));
+        }
+      };
+      // `walked` must have at least `need` elements left.
+      const auto covers = [&](const TensorDesc& walked, const char* role,
+                              int need, const char* bound) {
+        if (remaining(walked) < need) {
+          fail(std::string(role) + " TensorDesc has " +
+               std::to_string(remaining(walked)) +
+               " elements left, fewer than the " + std::to_string(need) +
+               " of " + bound);
+        }
+      };
+      if (!task_ok(in.trig)) fail("triggers no task " + std::to_string(in.trig));
+
+      switch (in.op) {
+        case OpKind::MulVV:
+        case OpKind::AddVV:
+        case OpKind::ScaleXPayV:
+        case OpKind::LifeV: {
+          const int n = remaining(tensor(in.dst, "dst"));
+          covers(tensor(in.src1, "src1"), "src1", n, "dst");
+          covers(tensor(in.src2, "src2"), "src2", n, "dst");
+          if (in.op == OpKind::ScaleXPayV) scalar(in.scalar);
+          break;
+        }
+        case OpKind::CopyV:
+        case OpKind::AxpyV: {
+          const int n = remaining(tensor(in.dst, "dst"));
+          covers(tensor(in.src1, "src1"), "src1", n, "dst");
+          if (in.op == OpKind::AxpyV) scalar(in.scalar);
+          break;
+        }
+        case OpKind::Send:
+          covers(tensor(in.src1, "src1"), "src1",
+                 remaining(fabric(kNumColors)), "the fabric descriptor");
+          break;
+        case OpKind::SendScalar:
+          (void)fabric(kNumColors);
+          scalar(in.scalar);
+          break;
+        case OpKind::RecvToMem:
+        case OpKind::RecvAddTo:
+          covers(tensor(in.dst, "dst"), "dst",
+                 remaining(fabric(TileCore::kNumLocalChannels)),
+                 "the fabric descriptor");
+          break;
+        case OpKind::RecvMulToFifo:
+          covers(tensor(in.src1, "src1"), "src1",
+                 remaining(fabric(TileCore::kNumLocalChannels)),
+                 "the fabric descriptor");
+          fifo();
+          break;
+        case OpKind::FifoAddTo:
+          (void)tensor(in.dst, "dst");
+          fifo();
+          break;
+        case OpKind::RecvAccScalar:
+          (void)fabric(TileCore::kNumLocalChannels);
+          scalar(in.scalar);
+          break;
+        case OpKind::DotMixed:
+        case OpKind::DotLocal:
+          covers(tensor(in.src2, "src2"), "src2",
+                 remaining(tensor(in.src1, "src1")), "src1");
+          scalar(in.scalar);
+          break;
+        case OpKind::SetScalar:
+          scalar(in.scalar);
+          break;
+        case OpKind::ScalarAdd:
+        case OpKind::ScalarSub:
+        case OpKind::ScalarMul:
+        case OpKind::ScalarDiv:
+          scalar(in.scalar_b);
+          [[fallthrough]];
+        case OpKind::ScalarMulImm:
+          scalar(in.scalar);
+          scalar(in.scalar_a);
+          break;
+      }
+    }
+  }
+}
+
+// Task bitsets: bit t of word t / 64 stands for task t.
+std::size_t bitset_words(std::size_t tasks) { return (tasks + 63) / 64; }
+bool test_bit(const std::vector<std::uint64_t>& bits, TaskId t) {
+  return ((bits[static_cast<std::size_t>(t) / 64] >> (t % 64)) & 1u) != 0;
+}
+void set_bit(std::vector<std::uint64_t>& bits, TaskId t) {
+  bits[static_cast<std::size_t>(t) / 64] |= std::uint64_t{1} << (t % 64);
+}
+void clear_bit(std::vector<std::uint64_t>& bits, TaskId t) {
+  bits[static_cast<std::size_t>(t) / 64] &= ~(std::uint64_t{1} << (t % 64));
+}
+
 } // namespace
+
+TileCode::TileCode(TileProgram prog, const CS1Params& arch)
+    : program(std::move(prog)),
+      footprint(program_footprint(program, arch.tile_memory_bytes / 2)) {
+  check_steps(program, arch.num_thread_slots);
+  // Builders grow these tables one push at a time; the shared copy lives
+  // as long as the fabric, so drop the growth slack once.
+  program.tensors.shrink_to_fit();
+  program.fabrics.shrink_to_fit();
+  program.fifos.shrink_to_fit();
+  program.tasks.shrink_to_fit();
+  for (Task& t : program.tasks) t.steps.shrink_to_fit();
+  const std::size_t words = bitset_words(program.tasks.size());
+  priority.assign(words, 0);
+  start_activated.assign(words, 0);
+  start_blocked.assign(words, 0);
+  for (std::size_t i = 0; i < program.tasks.size(); ++i) {
+    const Task& t = program.tasks[i];
+    const auto id = static_cast<TaskId>(i);
+    if (t.priority) set_bit(priority, id);
+    if (t.activated) set_bit(start_activated, id);
+    if (t.blocked) set_bit(start_blocked, id);
+  }
+  if (program.initial_task != kNoTask) {
+    set_bit(start_activated, program.initial_task);
+  }
+}
 
 void validate_queue_depths(const SimParams& sim) {
   const auto check = [](const char* what, int depth, int capacity) {
@@ -106,26 +324,26 @@ void validate_queue_depths(const SimParams& sim) {
   check("ramp_queue_depth", sim.ramp_queue_depth, kRampQueueCapacity);
 }
 
-TileCore::TileCore(TileProgram program, const CS1Params& arch,
-                   const SimParams& sim)
-    : prog_(std::move(program)),
-      pristine_{prog_.tensors, prog_.fabrics, prog_.fifos, {}},
-      arch_(&arch),
+TileCore::TileCore(std::shared_ptr<const TileCode> code,
+                   const CS1Params& arch, const SimParams& sim)
+    : code_(std::move(code)),
+      tensors_(code_->program.tensors),
+      fabrics_(code_->program.fabrics),
+      fifos_(code_->program.fifos),
+      activated_(code_->start_activated),
+      blocked_(code_->start_blocked),
       sim_(sim),
-      memory_(static_cast<std::size_t>(
-                  program_footprint(prog_, arch.tile_memory_bytes / 2)),
-              0),
-      scalars_(static_cast<std::size_t>(prog_.num_scalars > 0 ? prog_.num_scalars : 1), 0.0f),
+      memory_(static_cast<std::size_t>(code_->footprint), 0),
+      scalars_(static_cast<std::size_t>(std::max(code_->program.num_scalars, 1)),
+               0.0f),
       slots_(static_cast<std::size_t>(arch.num_thread_slots) + 1) {
   validate_queue_depths(sim_);
-  pristine_.task_flags.reserve(prog_.tasks.size());
-  for (const Task& t : prog_.tasks) {
-    pristine_.task_flags.emplace_back(t.activated, t.blocked);
-  }
-  if (prog_.initial_task != kNoTask) {
-    prog_.tasks[static_cast<std::size_t>(prog_.initial_task)].activated = true;
-  }
 }
+
+TileCore::TileCore(TileProgram program, const CS1Params& arch,
+                   const SimParams& sim)
+    : TileCore(std::make_shared<const TileCode>(std::move(program), arch),
+               arch, sim) {}
 
 void TileCore::check_host_addr(int addr, int halfwords) const {
   if (addr < 0 || static_cast<std::size_t>(addr) + static_cast<std::size_t>(halfwords) >
@@ -191,21 +409,20 @@ void TileCore::write_elem(const TensorDesc& t, int i, double v) {
 
 void TileCore::fire(TaskId task, TrigAction act) {
   if (task == kNoTask || act == TrigAction::None) return;
-  Task& t = prog_.tasks[static_cast<std::size_t>(task)];
   if (act == TrigAction::Activate) {
     // Flight-recorder taps record *state transitions* only (not repeated
     // fires), so rings hold the forensic story, not FIFO-push noise.
-    if (flightrec_ != nullptr && !t.activated) {
+    if (flightrec_ != nullptr && !test_bit(activated_, task)) {
       flightrec_->record(tile_x_, tile_y_, current_cycle_,
                          telemetry::FlightEventKind::TaskActivate, task);
     }
-    t.activated = true;
+    set_bit(activated_, task);
   } else {
-    if (flightrec_ != nullptr && t.blocked) {
+    if (flightrec_ != nullptr && test_bit(blocked_, task)) {
       flightrec_->record(tile_x_, tile_y_, current_cycle_,
                          telemetry::FlightEventKind::TaskUnblock, task);
     }
-    t.blocked = false;
+    clear_bit(blocked_, task);
   }
 }
 
@@ -285,11 +502,11 @@ void TileCore::complete_instr(int slot, RouterState&) {
   RunningInstr& ri = *slots_[static_cast<std::size_t>(slot)];
   if (tracer_ != nullptr && tracer_->wants(tile_x_, tile_y_)) {
     tracer_->record(current_cycle_, tile_x_, tile_y_,
-                    TraceEventKind::InstrComplete, opcode_name(ri.instr.op));
+                    TraceEventKind::InstrComplete, opcode_name(ri.instr->op));
   }
-  fire(ri.instr.trig, ri.instr.act);
-  if (ri.instr.fabric >= 0) {
-    const FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(ri.instr.fabric)];
+  fire(ri.instr->trig, ri.instr->act);
+  if (ri.instr->fabric >= 0) {
+    const FabricDesc& f = fabrics_[static_cast<std::size_t>(ri.instr->fabric)];
     fire(f.trig, f.act);
   }
   if (ri.from_sync) {
@@ -300,19 +517,18 @@ void TileCore::complete_instr(int slot, RouterState&) {
 }
 
 bool TileCore::advance(int slot, RouterState& router) {
-  RunningInstr& ri = *slots_[static_cast<std::size_t>(slot)];
-  const Instr& in = ri.instr;
+  const Instr& in = *slots_[static_cast<std::size_t>(slot)]->instr;
   bool progressed = false;
   bool completed = false;
 
   auto dst_desc = [&]() -> TensorDesc& {
-    return prog_.tensors[static_cast<std::size_t>(in.dst)];
+    return tensors_[static_cast<std::size_t>(in.dst)];
   };
   auto src1_desc = [&]() -> TensorDesc& {
-    return prog_.tensors[static_cast<std::size_t>(in.src1)];
+    return tensors_[static_cast<std::size_t>(in.src1)];
   };
   auto src2_desc = [&]() -> TensorDesc& {
-    return prog_.tensors[static_cast<std::size_t>(in.src2)];
+    return tensors_[static_cast<std::size_t>(in.src2)];
   };
 
   switch (in.op) {
@@ -384,7 +600,7 @@ bool TileCore::advance(int slot, RouterState& router) {
     }
 
     case OpKind::Send: {
-      FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+      FabricDesc& f = fabrics_[static_cast<std::size_t>(in.fabric)];
       const int width = width_of(in.op, f.dtype);
       int n = 0;
       while (n < width && !f.exhausted()) {
@@ -410,7 +626,7 @@ bool TileCore::advance(int slot, RouterState& router) {
     }
 
     case OpKind::SendScalar: {
-      FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+      FabricDesc& f = fabrics_[static_cast<std::size_t>(in.fabric)];
       if (!f.exhausted()) {
         const std::uint32_t payload = std::bit_cast<std::uint32_t>(
             scalars_[static_cast<std::size_t>(in.scalar)]);
@@ -425,7 +641,7 @@ bool TileCore::advance(int slot, RouterState& router) {
 
     case OpKind::RecvToMem:
     case OpKind::RecvAddTo: {
-      FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+      FabricDesc& f = fabrics_[static_cast<std::size_t>(in.fabric)];
       TensorDesc& d = dst_desc();
       auto& q = ramp_queues_[static_cast<std::size_t>(f.channel)];
       const int width = width_of(in.op, d.dtype);
@@ -451,9 +667,9 @@ bool TileCore::advance(int slot, RouterState& router) {
     }
 
     case OpKind::RecvMulToFifo: {
-      FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+      FabricDesc& f = fabrics_[static_cast<std::size_t>(in.fabric)];
       TensorDesc& s = src1_desc();
-      FifoState& fifo = prog_.fifos[static_cast<std::size_t>(in.fifo)];
+      FifoState& fifo = fifos_[static_cast<std::size_t>(in.fifo)];
       auto& q = ramp_queues_[static_cast<std::size_t>(f.channel)];
       const int width = width_of(in.op, DType::F16);
       int n = 0;
@@ -486,7 +702,7 @@ bool TileCore::advance(int slot, RouterState& router) {
     }
 
     case OpKind::FifoAddTo: {
-      FifoState& fifo = prog_.fifos[static_cast<std::size_t>(in.fifo)];
+      FifoState& fifo = fifos_[static_cast<std::size_t>(in.fifo)];
       TensorDesc& d = dst_desc();
       const int width = width_of(in.op, d.dtype);
       int n = 0;
@@ -509,7 +725,7 @@ bool TileCore::advance(int slot, RouterState& router) {
     }
 
     case OpKind::RecvAccScalar: {
-      FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+      FabricDesc& f = fabrics_[static_cast<std::size_t>(in.fabric)];
       auto& q = ramp_queues_[static_cast<std::size_t>(f.channel)];
       if (!f.exhausted() && !q.empty()) {
         const float w = std::bit_cast<float>(q.front());
@@ -589,6 +805,20 @@ bool TileCore::advance(int slot, RouterState& router) {
   return progressed;
 }
 
+TaskId TileCore::pick_task() const {
+  TaskId first_ready = kNoTask;
+  for (std::size_t w = 0; w < activated_.size(); ++w) {
+    const std::uint64_t ready = activated_[w] & ~blocked_[w];
+    if (ready == 0) continue;
+    const auto base = static_cast<TaskId>(w * 64);
+    if (const std::uint64_t urgent = ready & code_->priority[w]; urgent != 0) {
+      return base + std::countr_zero(urgent);
+    }
+    if (first_ready == kNoTask) first_ready = base + std::countr_zero(ready);
+  }
+  return first_ready;
+}
+
 void TileCore::run_scheduler() {
   // Hardware scheduling is implemented directly ("there is little delay
   // between the completion of a task and the start of a subsequent task"):
@@ -596,19 +826,11 @@ void TileCore::run_scheduler() {
   // control/launch steps until it must wait on a sync instruction or the
   // task ends. Instruction *execution* still costs datapath cycles; only
   // the bookkeeping is free-flowing.
+  const std::vector<Task>& tasks = code_->program.tasks;
   if (current_task_ == kNoTask) {
-    TaskId pick = kNoTask;
-    for (std::size_t i = 0; i < prog_.tasks.size(); ++i) {
-      Task& t = prog_.tasks[i];
-      if (!t.activated || t.blocked) continue;
-      if (pick == kNoTask ||
-          (t.priority &&
-           !prog_.tasks[static_cast<std::size_t>(pick)].priority)) {
-        pick = static_cast<TaskId>(i);
-      }
-    }
+    const TaskId pick = pick_task();
     if (pick == kNoTask) return;
-    prog_.tasks[static_cast<std::size_t>(pick)].activated = false;
+    clear_bit(activated_, pick);
     current_task_ = pick;
     current_step_ = 0;
     waiting_sync_ = false;
@@ -616,7 +838,7 @@ void TileCore::run_scheduler() {
     if (tracer_ != nullptr && tracer_->wants(tile_x_, tile_y_)) {
       tracer_->record(current_cycle_, tile_x_, tile_y_,
                       TraceEventKind::TaskStart,
-                      prog_.tasks[static_cast<std::size_t>(pick)].name);
+                      tasks[static_cast<std::size_t>(pick)].name);
     }
     if (flightrec_ != nullptr) {
       flightrec_->record(tile_x_, tile_y_, current_cycle_,
@@ -625,54 +847,38 @@ void TileCore::run_scheduler() {
   }
 
   if (waiting_sync_) return;
-  Task& t = prog_.tasks[static_cast<std::size_t>(current_task_)];
+  const Task& t = tasks[static_cast<std::size_t>(current_task_)];
   while (current_step_ < t.steps.size()) {
-    TaskStep& step = t.steps[current_step_];
+    const TaskStep& step = t.steps[current_step_];
     if (step.kind == TaskStep::Kind::Launch) {
       auto& slot = slots_[static_cast<std::size_t>(step.thread_slot)];
       if (slot.has_value()) {
         return; // thread slot busy: wait (programs shouldn't do this)
       }
-      slot = RunningInstr{step.instr, false};
+      slot = RunningInstr{&step.instr, false};
       ++current_step_;
     } else if (step.kind == TaskStep::Kind::Sync) {
-      auto& slot = slots_[static_cast<std::size_t>(arch_->num_thread_slots)];
+      auto& slot = slots_.back();
       if (slot.has_value()) return;
-      slot = RunningInstr{step.instr, true};
+      slot = RunningInstr{&step.instr, true};
       waiting_sync_ = true;
       return;
     } else {
       switch (step.kind) {
-        case TaskStep::Kind::Block: {
-          Task& target = prog_.tasks[static_cast<std::size_t>(step.target)];
-          if (flightrec_ != nullptr && !target.blocked) {
+        case TaskStep::Kind::Block:
+          if (flightrec_ != nullptr && !test_bit(blocked_, step.target)) {
             flightrec_->record(tile_x_, tile_y_, current_cycle_,
                                telemetry::FlightEventKind::TaskBlock,
                                step.target);
           }
-          target.blocked = true;
+          set_bit(blocked_, step.target);
           break;
-        }
-        case TaskStep::Kind::Unblock: {
-          Task& target = prog_.tasks[static_cast<std::size_t>(step.target)];
-          if (flightrec_ != nullptr && target.blocked) {
-            flightrec_->record(tile_x_, tile_y_, current_cycle_,
-                               telemetry::FlightEventKind::TaskUnblock,
-                               step.target);
-          }
-          target.blocked = false;
+        case TaskStep::Kind::Unblock:
+          fire(step.target, TrigAction::Unblock);
           break;
-        }
-        case TaskStep::Kind::Activate: {
-          Task& target = prog_.tasks[static_cast<std::size_t>(step.target)];
-          if (flightrec_ != nullptr && !target.activated) {
-            flightrec_->record(tile_x_, tile_y_, current_cycle_,
-                               telemetry::FlightEventKind::TaskActivate,
-                               step.target);
-          }
-          target.activated = true;
+        case TaskStep::Kind::Activate:
+          fire(step.target, TrigAction::Activate);
           break;
-        }
         case TaskStep::Kind::SetDone:
           done_ = true;
           break;
@@ -739,7 +945,7 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
     // classify the blocking port for the cycle-attribution profiler.
     auto& held = slots_[static_cast<std::size_t>(slot)];
     if (!held.has_value()) continue;
-    switch (held->instr.op) {
+    switch (held->instr->op) {
       case OpKind::Send:
       case OpKind::SendScalar:
         saw_send = true;
@@ -754,7 +960,7 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
         // (recv-starved) or the software FIFO behind it is full (output
         // backpressure — the summation task downstream can't keep up).
         const FabricDesc& f =
-            prog_.fabrics[static_cast<std::size_t>(held->instr.fabric)];
+            fabrics_[static_cast<std::size_t>(held->instr->fabric)];
         if (ramp_queues_[static_cast<std::size_t>(f.channel)].empty()) {
           saw_recv = true;
         } else {
@@ -785,7 +991,8 @@ StepOutcome TileCore::step(RouterState& router, std::uint64_t cycle) {
 std::string TileCore::debug_state() const {
   std::string out;
   if (current_task_ != kNoTask) {
-    const Task& t = prog_.tasks[static_cast<std::size_t>(current_task_)];
+    const Task& t =
+        code_->program.tasks[static_cast<std::size_t>(current_task_)];
     out += "task=" + t.name + " step=" + std::to_string(current_step_) +
            (waiting_sync_ ? " (sync-wait)" : "");
   } else {
@@ -793,11 +1000,11 @@ std::string TileCore::debug_state() const {
   }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].has_value()) {
+      const Instr& in = *slots_[i]->instr;
       out += " slot" + std::to_string(i) + "=op" +
-             std::to_string(static_cast<int>(slots_[i]->instr.op));
-      const Instr& in = slots_[i]->instr;
+             std::to_string(static_cast<int>(in.op));
       if (in.fabric >= 0) {
-        const FabricDesc& f = prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+        const FabricDesc& f = fabrics_[static_cast<std::size_t>(in.fabric)];
         out += "(ch" + std::to_string(f.channel) + " " +
                std::to_string(f.pos) + "/" + std::to_string(f.len) + ")";
       }
@@ -820,12 +1027,12 @@ std::vector<CoreWait> TileCore::waits() const {
   std::vector<CoreWait> out;
   for (const auto& slot : slots_) {
     if (!slot.has_value()) continue;
-    const Instr& in = slot->instr;
+    const Instr& in = *slot->instr;
     switch (in.op) {
       case OpKind::Send:
       case OpKind::SendScalar: {
         const FabricDesc& f =
-            prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+            fabrics_[static_cast<std::size_t>(in.fabric)];
         if (!f.exhausted()) {
           out.push_back({CoreWait::Kind::SendColor, f.channel});
         }
@@ -835,7 +1042,7 @@ std::vector<CoreWait> TileCore::waits() const {
       case OpKind::RecvAddTo:
       case OpKind::RecvAccScalar: {
         const FabricDesc& f =
-            prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+            fabrics_[static_cast<std::size_t>(in.fabric)];
         if (!f.exhausted() &&
             ramp_queues_[static_cast<std::size_t>(f.channel)].empty()) {
           out.push_back({CoreWait::Kind::RecvChannel, f.channel});
@@ -844,11 +1051,11 @@ std::vector<CoreWait> TileCore::waits() const {
       }
       case OpKind::RecvMulToFifo: {
         const FabricDesc& f =
-            prog_.fabrics[static_cast<std::size_t>(in.fabric)];
+            fabrics_[static_cast<std::size_t>(in.fabric)];
         if (f.exhausted()) break;
         if (ramp_queues_[static_cast<std::size_t>(f.channel)].empty()) {
           out.push_back({CoreWait::Kind::RecvChannel, f.channel});
-        } else if (prog_.fifos[static_cast<std::size_t>(in.fifo)].full()) {
+        } else if (fifos_[static_cast<std::size_t>(in.fifo)].full()) {
           out.push_back({CoreWait::Kind::FifoFull, in.fifo});
         }
         break;
@@ -871,8 +1078,8 @@ bool TileCore::quiescent() const {
     if (s.has_value()) return false;
   }
   if (current_task_ != kNoTask) return false;
-  for (const auto& t : prog_.tasks) {
-    if (t.activated && !t.blocked) return false;
+  for (std::size_t w = 0; w < activated_.size(); ++w) {
+    if ((activated_[w] & ~blocked_[w]) != 0) return false;
   }
   for (const auto& q : ramp_queues_) {
     if (!q.empty()) return false;
@@ -881,13 +1088,12 @@ bool TileCore::quiescent() const {
 }
 
 void TileCore::reset_control() {
-  prog_.tensors = pristine_.tensors;
-  prog_.fabrics = pristine_.fabrics;
-  prog_.fifos = pristine_.fifos;
-  for (std::size_t i = 0; i < prog_.tasks.size(); ++i) {
-    std::tie(prog_.tasks[i].activated, prog_.tasks[i].blocked) =
-        pristine_.task_flags[i];
-  }
+  // Same sizes, so these copy in place.
+  tensors_ = code_->program.tensors;
+  fabrics_ = code_->program.fabrics;
+  fifos_ = code_->program.fifos;
+  activated_ = code_->start_activated;
+  blocked_ = code_->start_blocked;
   for (auto& s : slots_) s.reset();
   // Words a run left undelivered (it stopped short of AllDone) belong to
   // that run; the next one must not consume them.
@@ -899,9 +1105,6 @@ void TileCore::reset_control() {
   done_ = false;
   phase_ = ProgPhase::Control;
   iteration_ = 0;
-  if (prog_.initial_task != kNoTask) {
-    prog_.tasks[static_cast<std::size_t>(prog_.initial_task)].activated = true;
-  }
 }
 
 } // namespace wss::wse

@@ -8,9 +8,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/fp16.hpp"
@@ -142,6 +142,36 @@ struct CoreWait {
   int id = 0;
 };
 
+/// The read-only half of an installed tile program: task bodies and names,
+/// the start state of every descriptor and task flag, and the SRAM
+/// footprint. It never changes while tiles run, so every tile whose program
+/// is equal holds one shared copy (Fabric::configure_tile interns it); the
+/// mutable half — descriptor positions and FIFO cursors, task flags — lives
+/// in each TileCore.
+struct TileCode {
+  /// Validates `program` against `arch` and takes it over:
+  ///   - std::runtime_error if memory_halfwords exceeds the SRAM;
+  ///   - std::invalid_argument if a TensorDesc or FifoState addresses
+  ///     halfwords outside [0, arch.tile_memory_bytes / 2);
+  ///   - std::invalid_argument, naming the task and step, if an instruction
+  ///     names a descriptor, FIFO, scalar register, thread slot or task that
+  ///     does not exist, or can read or write a TensorDesc past its len
+  ///     (an elementwise source shorter than dst, a dot's src2 shorter than
+  ///     src1, a Send/RecvMulToFifo source or a RecvToMem/RecvAddTo dst
+  ///     shorter than the fabric descriptor).
+  TileCode(TileProgram program, const CS1Params& arch);
+
+  TileProgram program;
+  /// SRAM halfwords the program addresses: memory_halfwords or the end of
+  /// the furthest descriptor extent, whichever is larger.
+  int footprint = 0;
+  /// Task bitsets, bit t of word t / 64 for task t: the __priority__
+  /// tasks, and the flags a run starts with (initial_task is activated).
+  std::vector<std::uint64_t> priority;
+  std::vector<std::uint64_t> start_activated;
+  std::vector<std::uint64_t> start_blocked;
+};
+
 /// Throw std::invalid_argument unless SimParams::router_queue_depth and
 /// ramp_queue_depth lie in [1, capacity] of their rings (a depth of 0 would
 /// deadlock every stream; one above capacity would overrun the ring).
@@ -149,12 +179,18 @@ void validate_queue_depths(const SimParams& sim);
 
 class TileCore {
 public:
-  /// Validates the queue depths (validate_queue_depths) and that every
-  /// TensorDesc and FifoState of `program` addresses halfwords inside
-  /// [0, arch.tile_memory_bytes / 2) (std::invalid_argument otherwise), and
-  /// that memory_halfwords fits the SRAM (std::runtime_error). SRAM is
-  /// allocated to the program's footprint only: memory_halfwords or the
-  /// end of the furthest descriptor extent, whichever is larger.
+  /// Local channel count: the color space plus a few loopback
+  /// pseudo-channels.
+  static constexpr int kNumLocalChannels = 32;
+
+  /// Runs `code`, which other cores may share and which must have been
+  /// built for the same `arch`. Validates the queue depths
+  /// (validate_queue_depths); SRAM is allocated to the code's footprint
+  /// only. `arch` is read here and not kept.
+  TileCore(std::shared_ptr<const TileCode> code, const CS1Params& arch,
+           const SimParams& sim);
+  /// A core with a code object of its own: TileCode(program, arch) (which
+  /// validates the program), then the constructor above.
   TileCore(TileProgram program, const CS1Params& arch, const SimParams& sim);
 
   /// Deliver a fabric word to a local channel queue; false => queue full,
@@ -212,7 +248,9 @@ public:
   /// suite enforces bit for bit.
   void step_parked() { ++stats_.idle_cycles; }
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
-  [[nodiscard]] const TileProgram& program() const { return prog_; }
+  /// The shared read-only code this core runs (its descriptor tables hold
+  /// start positions, not this core's live ones).
+  [[nodiscard]] const TileCode& code() const { return *code_; }
 
   /// Task the scheduler is currently executing (kNoTask between tasks) and
   /// whether it is parked on a Sync step — post-mortem introspection.
@@ -247,7 +285,7 @@ public:
   /// Words waiting in the ramp queues, summed over all local channels.
   [[nodiscard]] std::size_t ramp_words() const;
 
-  /// Reset all descriptor positions, task states, ramp queues and the
+  /// Reset all descriptor positions, task flags, ramp queues and the
   /// thread-slot arbiter so the same program can run again exactly as on a
   /// fresh core (the solver re-invokes SpMV every iteration). Memory
   /// contents and the cumulative CoreStats persist.
@@ -259,7 +297,7 @@ public:
 
 private:
   struct RunningInstr {
-    Instr instr;
+    const Instr* instr = nullptr; ///< a step of the shared code
     bool from_sync = false; ///< completing unblocks the owning task's steps
   };
 
@@ -283,30 +321,28 @@ private:
   bool advance(int slot, RouterState& router);
   bool inject(RouterState& router, Color color, std::uint32_t payload,
               bool wide);
+  /// The task the scheduler starts next: the lowest-numbered ready
+  /// (activated and not blocked) priority task, else the lowest-numbered
+  /// ready task, else kNoTask.
+  [[nodiscard]] TaskId pick_task() const;
   void run_scheduler();
 
-  TileProgram prog_;
-  /// Initial descriptor and task-flag state, for reset_control. Task bodies
-  /// never change while running, so only their (activated, blocked) flags
-  /// are kept.
-  struct Pristine {
-    std::vector<TensorDesc> tensors;
-    std::vector<FabricDesc> fabrics;
-    std::vector<FifoState> fifos;
-    std::vector<std::pair<bool, bool>> task_flags;
-  };
-  Pristine pristine_;
-  const CS1Params* arch_;
+  std::shared_ptr<const TileCode> code_;
+  // Live descriptor state: the code's tables as of the last reset, then
+  // advanced by the running instructions.
+  std::vector<TensorDesc> tensors_;
+  std::vector<FabricDesc> fabrics_;
+  std::vector<FifoState> fifos_;
+  // Task flags as bitsets (TileCode::priority's layout).
+  std::vector<std::uint64_t> activated_;
+  std::vector<std::uint64_t> blocked_;
   SimParams sim_;
   std::vector<std::uint16_t> memory_;
   std::vector<float> scalars_;
-  /// Local channel count: the color space plus a few loopback
-  /// pseudo-channels.
-  static constexpr int kNumLocalChannels = 32;
   std::array<InlineRing<std::uint32_t, kRampQueueCapacity>, kNumLocalChannels>
       ramp_queues_;
 
-  // thread slots; index arch_->num_thread_slots is the main/sync slot
+  // thread slots; the last one is the main/sync slot
   std::vector<std::optional<RunningInstr>> slots_;
   int rr_slot_ = 0;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -65,11 +66,71 @@ Backend resolve_backend(Backend requested) {
       "WSS_SIM_BACKEND must be 'reference' or 'turbo', got '" + v + "'");
 }
 
+/// Two ints as one 64-bit word.
+std::uint64_t pair(int hi, int lo) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32) |
+         static_cast<std::uint32_t>(lo);
+}
+
+/// The words of one record folded into one: each rotated by its own
+/// amount, then XORed. Independent operations, so a record costs a single
+/// step of mix()'s dependency chain.
+template <typename... Words> std::uint64_t fold(Words... words) {
+  std::uint64_t out = 0;
+  int rot = 0;
+  ((out ^= std::rotl(static_cast<std::uint64_t>(words), rot), rot += 9), ...);
+  return out;
+}
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
+
+/// Hash of every field of `prog`, for interning equal programs (equality
+/// is TileProgram::operator==). A weak hash only costs an extra full
+/// comparison on a collision, so speed wins: one mix() per record.
+std::size_t hash_program(const TileProgram& prog) {
+  std::uint64_t h = fold(pair(prog.memory_halfwords, prog.num_scalars),
+                         pair(prog.initial_task,
+                              static_cast<int>(prog.tasks.size())));
+  for (const TensorDesc& t : prog.tensors) {
+    h = mix(h, fold(pair(t.base, t.len), pair(t.stride, t.pos),
+                    static_cast<std::uint64_t>(t.dtype)));
+  }
+  for (const FabricDesc& f : prog.fabrics) {
+    h = mix(h, fold(pair(f.channel, f.len), pair(f.pos, f.trig),
+                    pair(static_cast<int>(f.dtype), static_cast<int>(f.act))));
+  }
+  for (const FifoState& f : prog.fifos) {
+    h = mix(h, fold(pair(f.base, f.capacity), pair(f.head, f.tail),
+                    pair(f.count, f.on_push)));
+  }
+  for (const Task& t : prog.tasks) {
+    h = mix(h, fold(std::hash<std::string>{}(t.name),
+                    pair(static_cast<int>(t.steps.size()),
+                         (t.priority ? 1 : 0) | (t.blocked ? 2 : 0) |
+                             (t.activated ? 4 : 0))));
+    for (const TaskStep& st : t.steps) {
+      const Instr& in = st.instr;
+      h = mix(h, fold(pair(st.thread_slot, st.target),
+                      pair(in.trig, static_cast<int>(st.kind) |
+                                        (static_cast<int>(in.op) << 8) |
+                                        (static_cast<int>(in.act) << 16)),
+                      pair(in.dst, in.src1), pair(in.src2, in.fabric),
+                      pair(in.fifo, in.scalar),
+                      pair(in.scalar_a, in.scalar_b),
+                      std::bit_cast<std::uint64_t>(in.imm)));
+    }
+  }
+  return static_cast<std::size_t>(h);
+}
+
 } // namespace
 
 Fabric::Fabric(int width, int height, const CS1Params& arch,
                const SimParams& sim)
-    : width_(width), height_(height), arch_(&arch), sim_(sim),
+    : width_(width), height_(height), arch_(arch), sim_(sim),
       threads_(resolve_sim_threads(sim.sim_threads)),
       watchdog_cycles_(resolve_watchdog_cycles(sim.watchdog_cycles)),
       flags_(static_cast<std::size_t>(width) *
@@ -82,10 +143,21 @@ Fabric::Fabric(int width, int height, const CS1Params& arch,
 
 Fabric::~Fabric() = default;
 
+std::shared_ptr<const TileCode> Fabric::intern(TileProgram program) {
+  const std::size_t h = hash_program(program);
+  const auto [first, last] = codes_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (it->second->program == program) return it->second;
+  }
+  auto code = std::make_shared<const TileCode>(std::move(program), arch_);
+  codes_.emplace(h, code);
+  return code;
+}
+
 void Fabric::configure_tile(int x, int y, TileProgram program,
                             RoutingTable routes) {
   Tile& t = tiles_[tile_index(x, y)];
-  t.core = std::make_unique<TileCore>(std::move(program), *arch_, sim_);
+  t.core = std::make_unique<TileCore>(intern(std::move(program)), arch_, sim_);
   t.core->set_position(x, y); // flit provenance for the critical path
   t.router.table = std::move(routes);
   if (user_tracer_ != nullptr) t.core->set_tracer(user_tracer_, x, y);

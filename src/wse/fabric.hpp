@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -124,8 +125,14 @@ public:
   Fabric& operator=(Fabric&&) noexcept = default;
 
   /// Install a tile's program and routing table. Must be called for every
-  /// tile before running. Coordinates: x east, y south.
+  /// tile before running. Coordinates: x east, y south. The program is
+  /// interned: a tile whose program equals one installed before shares
+  /// that tile's read-only TileCode (validated once, when first seen; see
+  /// TileCode for what it rejects).
   void configure_tile(int x, int y, TileProgram program, RoutingTable routes);
+
+  /// Distinct programs installed so far (TileCode objects interned).
+  [[nodiscard]] std::size_t distinct_programs() const { return codes_.size(); }
 
   [[nodiscard]] TileCore& core(int x, int y) {
     return *tiles_[tile_index(x, y)].core;
@@ -341,11 +348,16 @@ private:
   /// tiles). Called only from serial code (step() tail, sample_now).
   void collect_sample(telemetry::TimeSeriesSample* out) const;
 
+  /// The shared TileCode equal to `program`, made on first sight.
+  std::shared_ptr<const TileCode> intern(TileProgram program);
+
   int width_;
   int height_;
-  const CS1Params* arch_;
+  CS1Params arch_;
   SimParams sim_;
   std::vector<Tile> tiles_;
+  /// Interned programs by hash_program (equality decides on a hit).
+  std::unordered_multimap<std::size_t, std::shared_ptr<const TileCode>> codes_;
   FabricStats stats_;
 
   // Host-side parallel stepping (no effect on simulated behaviour).

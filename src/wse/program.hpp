@@ -31,6 +31,7 @@ struct TensorDesc {
   [[nodiscard]] int addr_at(int i) const {
     return base + i * stride * halfwords(dtype);
   }
+  bool operator==(const TensorDesc&) const = default;
 };
 
 /// Fabric tensor descriptor: a stream of `len` words on a channel. The
@@ -44,6 +45,7 @@ struct FabricDesc {
   TrigAction act = TrigAction::None;
 
   [[nodiscard]] bool exhausted() const { return pos >= len; }
+  bool operator==(const FabricDesc&) const = default;
 };
 
 /// Hardware-managed in-memory FIFO (circular buffer of fp16 elements) with
@@ -59,6 +61,7 @@ struct FifoState {
 
   [[nodiscard]] bool full() const { return count >= capacity; }
   [[nodiscard]] bool empty() const { return count == 0; }
+  bool operator==(const FifoState&) const = default;
 };
 
 /// Tensor instruction opcodes. Each runs for many cycles over its
@@ -107,6 +110,8 @@ struct Instr {
   /// descriptor trigger).
   TaskId trig = kNoTask;
   TrigAction act = TrigAction::None;
+
+  bool operator==(const Instr&) const = default;
 };
 
 /// A step in a task body. Launch installs an instruction on a background
@@ -131,6 +136,8 @@ struct TaskStep {
   int thread_slot = -1;
   Instr instr{};
   TaskId target = kNoTask;
+
+  bool operator==(const TaskStep&) const = default;
 };
 
 /// Phase-marker step: annotates all following cycles (until the next
@@ -149,15 +156,23 @@ struct TaskStep {
   return s;
 }
 
+/// A task as the program declares it. `blocked` and `activated` are its
+/// state when the program starts (and again after TileCore::reset_control);
+/// the running state lives in the core's per-task bitsets, so a Task is
+/// never written once the program is installed.
 struct Task {
   std::string name;
   bool priority = false; ///< the paper's __priority__ marker on sumtask
   bool blocked = false;
   bool activated = false;
   std::vector<TaskStep> steps;
+
+  bool operator==(const Task&) const = default;
 };
 
-/// The complete program for one tile.
+/// The complete program for one tile, as a builder writes it. Installing
+/// it (TileCore, Fabric::configure_tile) turns it into a shared read-only
+/// TileCode; the descriptor tables here hold the start positions.
 struct TileProgram {
   std::vector<TensorDesc> tensors;
   std::vector<FabricDesc> fabrics;
@@ -183,6 +198,8 @@ struct TileProgram {
     tasks.push_back(std::move(t));
     return static_cast<TaskId>(tasks.size()) - 1;
   }
+
+  bool operator==(const TileProgram&) const = default;
 };
 
 /// Bump allocator for tile SRAM, in halfwords. Throws when a program

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "solver/stencil_operator.hpp"
 #include "stencil/generators.hpp"
 
@@ -34,9 +37,36 @@ TEST(DistBicgstab, MatchesSequentialSolution) {
   }
 }
 
+TEST(DistBicgstab, RepeatedRunsAreBitIdentical) {
+  // Allreduce sums the ranks' values in rank order, whatever order the
+  // rank threads arrive in, so a rerun takes the same path bit for bit.
+  const Grid3 g(24, 24, 24);
+  auto a = make_convection_diffusion7(g, 1.0, -0.5, 0.5);
+  const auto b = make_rhs(a, make_smooth_solution(g));
+  SolveControls c;
+  c.max_iterations = 100;
+  c.tolerance = 1e-9;
+
+  World world(8);
+  Field3<double> first(g, 0.0);
+  const int iterations =
+      distributed_bicgstab(world, a, b, first, c).solve.iterations;
+  for (int run = 1; run < 3; ++run) {
+    Field3<double> x(g, 0.0);
+    EXPECT_EQ(distributed_bicgstab(world, a, b, x, c).solve.iterations,
+              iterations)
+        << "run " << run;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                std::bit_cast<std::uint64_t>(first[i]))
+          << "run " << run << " element " << i;
+    }
+  }
+}
+
 TEST(DistBicgstab, RankCountDoesNotChangeIterationCount) {
-  // fp64 reductions via a deterministic shared accumulator: rank counts
-  // produce very similar (often identical) convergence paths.
+  // fp64 reductions summed in rank order: rank counts produce very
+  // similar (often identical) convergence paths.
   const Grid3 g(8, 8, 8);
   auto a = make_poisson7(g);
   const auto xref = make_smooth_solution(g);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "stencil/generators.hpp"
@@ -85,6 +86,78 @@ TEST(BoundedMemory, DescriptorsOutsideSramRejected) {
                std::invalid_argument);
   EXPECT_THROW(TileCore(program_with_fifo(-5, 20), arch, sim),
                std::invalid_argument);
+}
+
+TEST(BoundedMemory, OperandsShorterThanTheirBoundRejected) {
+  // An instruction runs until its bounding descriptor (dst, a dot's src1,
+  // or the fabric descriptor) is exhausted; every other TensorDesc it walks
+  // must be at least that long, or it reads or writes past its extent.
+  // Tensor 0 and 2 hold 8 elements, tensor 1 only 7; the fabric 8 words.
+  const auto program = [](Instr in) {
+    TileProgram prog;
+    prog.add_tensor({0, 8, 1, DType::F16, 0});
+    prog.add_tensor({16, 7, 1, DType::F16, 0});
+    prog.add_tensor({32, 8, 1, DType::F16, 0});
+    prog.add_fabric({3, 8, DType::F16, 0, kNoTask, TrigAction::None});
+    FifoState f;
+    f.base = 48;
+    f.capacity = 8;
+    prog.add_fifo(f);
+    prog.num_scalars = 1;
+    in.fabric = in.op == OpKind::DotMixed || in.op == OpKind::CopyV ||
+                        in.op == OpKind::MulVV
+                    ? -1
+                    : 0;
+    in.fifo = in.op == OpKind::RecvMulToFifo ? 0 : -1;
+    in.scalar = in.op == OpKind::DotMixed ? 0 : -1;
+    Task t{"k", false, false, false, {}};
+    t.steps.push_back(set_phase_step(ProgPhase::Axpy));
+    t.steps.push_back({TaskStep::Kind::Sync, -1, in, kNoTask});
+    prog.add_task(std::move(t));
+    prog.initial_task = 0;
+    return prog;
+  };
+  const auto instr = [](OpKind op, int dst, int src1, int src2) {
+    Instr in{};
+    in.op = op;
+    in.dst = dst;
+    in.src1 = src1;
+    in.src2 = src2;
+    return in;
+  };
+  const CS1Params arch;
+  const SimParams sim;
+  struct Case {
+    Instr bad;
+    Instr good;
+  };
+  const Case cases[] = {
+      {instr(OpKind::CopyV, 0, 1, -1), instr(OpKind::CopyV, 0, 2, -1)},
+      {instr(OpKind::MulVV, 0, 2, 1), instr(OpKind::MulVV, 0, 2, 2)},
+      {instr(OpKind::DotMixed, -1, 0, 1), instr(OpKind::DotMixed, -1, 1, 0)},
+      {instr(OpKind::Send, -1, 1, -1), instr(OpKind::Send, -1, 2, -1)},
+      {instr(OpKind::RecvMulToFifo, -1, 1, -1),
+       instr(OpKind::RecvMulToFifo, -1, 2, -1)},
+      {instr(OpKind::RecvToMem, 1, -1, -1), instr(OpKind::RecvToMem, 2, -1, -1)},
+      {instr(OpKind::RecvAddTo, 1, -1, -1), instr(OpKind::RecvAddTo, 0, -1, -1)},
+  };
+  for (const Case& c : cases) {
+    const int op = static_cast<int>(c.bad.op);
+    EXPECT_NO_THROW(TileCore(program(c.good), arch, sim)) << "op " << op;
+    try {
+      TileCore core(program(c.bad), arch, sim);
+      ADD_FAILURE() << "op " << op << " accepted a short operand";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("task 'k' (0) step 1"),
+                std::string::npos)
+          << e.what();
+    }
+    // The fabric checks once per distinct program, at configure_tile.
+    Fabric fabric(1, 1, arch, sim);
+    EXPECT_THROW(fabric.configure_tile(0, 0, program(c.bad), RoutingTable{}),
+                 std::invalid_argument)
+        << "op " << op;
+  }
 }
 
 TEST(BoundedMemory, SramSizedToFootprint) {
